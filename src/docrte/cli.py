@@ -1,7 +1,8 @@
 """Command-line front end for the generation/denoising/evaluation pipeline.
 
 Exit codes: 0 on success, 1 for configuration or input-format problems,
-2 when a pipeline stage fails or a required earlier stage has not run.
+2 when a pipeline stage fails or a required earlier stage has not run or
+is stale.
 """
 from __future__ import annotations
 

@@ -1,13 +1,18 @@
 """Stage orchestration: run directory, manifests, resume, and reporting.
 
-Each stage reads files produced by earlier stages and writes its own under
-the run directory, then records a manifest with content digests of its
-inputs and outputs.  A stage is skipped when its manifest says it already
-ran with byte-identical inputs and its outputs are still intact, so an
-interrupted pipeline resumes without recomputing (and without re-issuing
-chat requests).  All artifact writes are atomic (write to a temp file, then
-rename), which keeps a crash from leaving a half-written file that a resume
-would mistake for a completed one.
+The stages are one table, :data:`STAGES`.  Each stage runs once per seed,
+reading files that earlier stages wrote under the run directory, and records
+a manifest with content digests of its inputs and outputs.  A stage is
+skipped when its manifest says it already ran with byte-identical inputs and
+its outputs are still intact, so an interrupted pipeline resumes without
+recomputing (and without re-issuing chat requests).  A stage runs only when
+every upstream stage is fresh: its manifest says ``ok``, its params and
+sources match the config, it recorded as inputs what its own upstream stages
+recorded as outputs, and it recorded as outputs what the stage about to run
+reads.  Otherwise :class:`MissingStageError` names the stale stage; running
+every stage reruns it first.  All artifact writes are atomic (write to a
+temp file, then rename), which keeps a crash from leaving a half-written
+file that a resume would mistake for a completed one.
 
 Run directory layout::
 
@@ -29,8 +34,9 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import reduce
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .backends import CassetteBackend, ChatBackend, LiveChatBackend, RateLimiter, ScriptedBackend
 from .config import PipelineConfig
@@ -82,7 +88,7 @@ from .pseudo import (
     write_finetune_file,
 )
 from .simulate import chat_script, mock_generation_corpus
-from .split import SplitSpec, apply_split, load_split_spec, make_replicates, save_split_spec
+from .split import SplitSpec, apply_split, load_split_spec, sample_unseen, save_split_spec
 
 logger = logging.getLogger(__name__)
 
@@ -92,28 +98,136 @@ class StageError(RuntimeError):
 
 
 class MissingStageError(StageError):
-    """A stage was requested before one of its dependencies had run."""
+    """A stage was requested before an upstream stage ran, or while one is stale."""
 
 
-STAGE_ORDER = (
-    "split",
-    "generate",
-    "finetune-data",
-    "pseudo-label",
-    "denoise",
-    "finetune-data-denoised",
-    "evaluate",
-)
+def _stale(stage: str, changed: Sequence[str], consumer: str) -> MissingStageError:
+    return MissingStageError(
+        f"stale stage: {stage} (changed since it ran: {', '.join(changed)}; "
+        f"rerun it before {consumer!r})"
+    )
 
-STAGE_DEPS: dict[str, tuple[str, ...]] = {
-    "split": (),
-    "generate": ("split",),
-    "finetune-data": ("split",),
-    "pseudo-label": ("generate", "split"),
-    "denoise": ("generate", "pseudo-label", "split"),
-    "finetune-data-denoised": ("denoise", "split"),
-    "evaluate": ("split", "denoise"),
-}
+
+# The fields of the ``mock`` config section that mock_generation_corpus reads.
+MOCK_WORLD = ("mock.facts_per_relation", "mock.facts_per_doc", "mock.label_drop_prob",
+              "mock.spurious_prob", "mock.world_seed")
+
+
+def _registry_source(cfg: PipelineConfig) -> dict[str, Path]:
+    return {"config:registry": Path(cfg.registry)}
+
+
+def _generate_sources(cfg: PipelineConfig) -> dict[str, Path]:
+    files = _registry_source(cfg)
+    if cfg.templates_dir:
+        files.update({f"template:{tpl.name}": tpl
+                      for tpl in sorted(Path(cfg.templates_dir).glob("*.txt"))})
+    return files
+
+
+def _predictions_path(template: str, seed: int) -> Path:
+    return Path(str(template).replace("{seed}", str(seed)))
+
+
+def _evaluate_sources(cfg: PipelineConfig) -> dict[str, Path]:
+    files = _registry_source(cfg)
+    if cfg.final_predictor == "file":
+        for name, template in (("dev", cfg.predictions_dev), ("test", cfg.predictions_test)):
+            if template:
+                files.update({f"predictions:{name}:{seed}": _predictions_path(template, seed)
+                              for seed in cfg.seeds})
+    return files
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage as data.
+
+    ``reads`` maps each upstream stage (its deps, in the order they are
+    checked) to the keys of its outputs read here; ``writes`` maps output
+    keys to run-file names with a ``{seed}`` slot.  ``params`` names the
+    config values the outputs depend on; ``params_when`` adds more while a
+    config field has a given value.  ``sources`` gives the config-named files
+    read.  The runner calls ``_stage_<name>(seed)`` for every seed, then the
+    ``finish`` method, if any, with every seed's result.
+    """
+
+    name: str
+    reads: Mapping[str, tuple[str, ...]]
+    writes: Mapping[str, str]
+    params: tuple[str, ...] = ()
+    params_when: Mapping[tuple[str, str], tuple[str, ...]] = field(default_factory=dict)
+    sources: Callable[[PipelineConfig], dict[str, Path]] = _registry_source
+    finish: str | None = None
+    finish_writes: tuple[str, ...] = ()
+
+    def param_values(self, cfg: PipelineConfig) -> dict[str, Any]:
+        names = list(self.params)
+        for (switch, value), extra in self.params_when.items():
+            if getattr(cfg, switch) == value:
+                names.extend(extra)
+        return {name: reduce(getattr, name.split("."), cfg) for name in names}
+
+    @property
+    def deps(self) -> tuple[str, ...]:
+        return tuple(self.reads)
+
+    def inputs(self, seed: int) -> dict[str, str]:
+        """Run files read for one seed, by output key."""
+        return {key: STAGES[dep].writes[key].format(seed=seed)
+                for dep, keys in self.reads.items() for key in keys}
+
+    def outputs(self, seed: int) -> dict[str, str]:
+        """Run files written for one seed, by output key."""
+        return {key: name.format(seed=seed) for key, name in self.writes.items()}
+
+    def upstream_files(self, seeds: Sequence[int]) -> dict[str, str]:
+        """Every run file read for ``seeds``, mapped to the stage that wrote it."""
+        return {STAGES[dep].writes[key].format(seed=seed): dep
+                for dep, keys in self.reads.items() for key in keys for seed in seeds}
+
+
+STAGES: dict[str, Stage] = {stage.name: stage for stage in (
+    Stage("split", reads={},
+          writes={key: f"split/{key}_{{seed}}.json" for key in ("spec", "train", "dev", "test")},
+          params=("m", "mixed_policy"),
+          sources=lambda cfg: {f"config:{name}": Path(getattr(cfg, name))
+                               for name in ("registry", "train_docs", "dev_docs", "test_docs")}),
+    Stage("generate", reads={"split": ("spec",)},
+          writes={"synthetic": "generate/synthetic_{seed}.json",
+                  "records": "generate/records_{seed}.json"},
+          params=("n_related", "docs_per_relation", "temperature_step2", "temperature_other",
+                  "max_retries", "prompt_mode", "entity_types", "backend"),
+          params_when={("backend", "mock"): MOCK_WORLD},
+          sources=_generate_sources),
+    Stage("finetune-data", reads={"split": ("spec", "train")},
+          writes={"samples": "finetune/pretrain_{seed}.jsonl"},
+          params=("group_size", "keep_empty_prob", "instruction")),
+    Stage("pseudo-label", reads={"generate": ("synthetic",), "split": ("spec",)},
+          writes={"pseudo": "pseudo/pseudo_{seed}.json"},
+          params=("predictor", "instruction"),
+          params_when={("predictor", "mock"): MOCK_WORLD + (
+              "mock.pseudo_drop_prob", "docs_per_relation", "n_related")}),
+    Stage("denoise",
+          reads={"generate": ("synthetic",), "pseudo-label": ("pseudo",), "split": ("spec",)},
+          writes={key: f"denoise/{key}_{{seed}}.json" for key in ("denoised", "kg", "report")}),
+    Stage("finetune-data-denoised", reads={"denoise": ("denoised",), "split": ("spec",)},
+          writes={"samples": "finetune/denoised_{seed}.jsonl"},
+          params=("keep_empty_prob", "instruction")),
+    # m and mixed_policy are echoed in the report
+    Stage("evaluate", reads={"split": ("spec", "dev", "test"), "denoise": ("denoised",)},
+          writes={"scores_dev": "eval/dev_{seed}.json",
+                  "scores_test": "eval/test_{seed}.json",
+                  "predictions_dev": "eval/predictions_dev_{seed}.json",
+                  "predictions_test": "eval/predictions_test_{seed}.json"},
+          params=("final_predictor", "strict_seen", "instruction", "m", "mixed_policy"),
+          params_when={("final_predictor", "mock"): ("mock.final_drop_prob",),
+                       ("final_predictor", "file"): ("predictions_dev", "predictions_test")},
+          sources=_evaluate_sources,
+          finish="_write_report", finish_writes=("report.json", "report.txt")),
+)}
+
+STAGE_ORDER = tuple(STAGES)
 
 
 @dataclass
@@ -197,10 +311,15 @@ class PipelineRunner:
     ):
         self.config = config
         self.run_dir = Path(config.run_dir)
-        self.chat_backend_factory = chat_backend_factory
-        self.predictor_factory = predictor_factory
-        self.final_predictor_factory = final_predictor_factory
+        cls = type(self)
+        self.chat_backend_factory = chat_backend_factory or cls.default_chat_backend
+        self.predictor_factory = predictor_factory or cls.default_pseudo_predictor
+        self.final_predictor_factory = final_predictor_factory or cls.default_final_predictor
         self._registry: RelationRegistry | None = None
+        # train/dev/test source corpora, held only while split runs its seeds
+        self._sources: tuple[Corpus, Corpus, Corpus] | None = None
+        # manifests of the stages known to be fresh in the current run()
+        self._fresh: dict[str, StageManifest] = {}
 
     # -- small helpers ------------------------------------------------------
 
@@ -225,190 +344,83 @@ class PipelineRunner:
     def _write_manifest(self, manifest: StageManifest) -> None:
         write_json_atomic(self.manifest_path(manifest.stage), manifest.to_json())
 
-    def _params_digest(self, params: Mapping[str, Any]) -> str:
-        return sha256_text(canonical_dumps(dict(params)))
+    def _files(self, stage: str, seed: int) -> dict[str, Path]:
+        """What ``stage`` reads and writes for one seed, by key."""
+        entry = STAGES[stage]
+        return {key: self.path(rel)
+                for key, rel in {**entry.inputs(seed), **entry.outputs(seed)}.items()}
 
-    def _digest_run_files(self, rel_paths: Sequence[str]) -> dict[str, str]:
-        digests = {}
-        for rel in rel_paths:
-            path = self.path(rel)
+    def _digest(self, rel: str) -> str | None:
+        path = self.path(rel)
+        return file_digest(path) if path.exists() else None
+
+    # -- freshness ------------------------------------------------------------
+
+    def _config_inputs(self, stage: str) -> dict[str, str]:
+        """Digests of the params and the source files a stage depends on."""
+        entry = STAGES[stage]
+        params = {"seeds": list(self.config.seeds), **entry.param_values(self.config)}
+        digests = {"params": sha256_text(canonical_dumps(params))}
+        for key, path in entry.sources(self.config).items():
             if not path.exists():
-                raise MissingStageError(f"missing input file for resume check: {path}")
-            digests[rel] = file_digest(path)
+                raise StageError(f"{key} points to a missing file: {path}")
+            digests[key] = file_digest(path)
         return digests
 
-    # -- per-stage file layout ----------------------------------------------
-
-    def split_files(self, seed: int) -> dict[str, str]:
-        return {
-            "spec": f"split/spec_{seed}.json",
-            "train": f"split/train_{seed}.json",
-            "dev": f"split/dev_{seed}.json",
-            "test": f"split/test_{seed}.json",
-        }
-
-    def generate_files(self, seed: int) -> dict[str, str]:
-        return {
-            "synthetic": f"generate/synthetic_{seed}.json",
-            "records": f"generate/records_{seed}.json",
-        }
-
-    def denoise_files(self, seed: int) -> dict[str, str]:
-        return {
-            "denoised": f"denoise/denoised_{seed}.json",
-            "kg": f"denoise/kg_{seed}.json",
-            "report": f"denoise/report_{seed}.json",
-        }
-
-    # -- stage input/output declarations --------------------------------------
-
-    def _stage_spec(self, stage: str) -> tuple[dict[str, Any], list[str], list[str]]:
-        """Return (params, input run-files, output run-files) for a stage.
-
-        ``params`` capture every config knob the stage's output depends on;
-        a change to any of them invalidates the stage on the next run.
+    def _fresh_manifest(self, stage: str, consumer: str) -> StageManifest:
+        """The manifest of ``stage`` if it is fresh, judged once per run: it
+        says ``ok``, its params and sources match the config, and its recorded
+        run-file inputs are what its fresh upstream stages recorded as outputs.
         """
-        cfg = self.config
-        seeds = list(cfg.seeds)
-        params: dict[str, Any] = {"seeds": seeds}
-        inputs: list[str] = []
-        outputs: list[str] = []
-        if stage == "split":
-            params.update(m=cfg.m, mixed_policy=cfg.mixed_policy)
-            for s in seeds:
-                outputs.extend(self.split_files(s).values())
-        elif stage == "generate":
-            params.update(
-                n_related=cfg.n_related,
-                docs_per_relation=cfg.docs_per_relation,
-                temperature_step2=cfg.temperature_step2,
-                temperature_other=cfg.temperature_other,
-                max_retries=cfg.max_retries,
-                prompt_mode=cfg.prompt_mode,
-                entity_types=list(cfg.entity_types),
-                backend=cfg.backend,
-            )
-            if cfg.backend == "mock":
-                params["mock"] = cfg.to_json()["mock"]
-            for s in seeds:
-                inputs.append(self.split_files(s)["spec"])
-                outputs.extend(self.generate_files(s).values())
-        elif stage == "finetune-data":
-            params.update(
-                group_size=cfg.group_size,
-                keep_empty_prob=cfg.keep_empty_prob,
-                instruction=cfg.instruction,
-            )
-            for s in seeds:
-                inputs.append(self.split_files(s)["spec"])
-                inputs.append(self.split_files(s)["train"])
-                outputs.append(f"finetune/pretrain_{s}.jsonl")
-        elif stage == "pseudo-label":
-            params.update(predictor=cfg.predictor, instruction=cfg.instruction)
-            if cfg.predictor == "mock":
-                params["mock"] = cfg.to_json()["mock"]
-                params["docs_per_relation"] = cfg.docs_per_relation
-                params["n_related"] = cfg.n_related
-            for s in seeds:
-                inputs.append(self.split_files(s)["spec"])
-                inputs.append(self.generate_files(s)["synthetic"])
-                outputs.append(f"pseudo/pseudo_{s}.json")
-        elif stage == "denoise":
-            for s in seeds:
-                inputs.append(self.split_files(s)["spec"])
-                inputs.append(self.generate_files(s)["synthetic"])
-                inputs.append(f"pseudo/pseudo_{s}.json")
-                outputs.extend(self.denoise_files(s).values())
-        elif stage == "finetune-data-denoised":
-            params.update(keep_empty_prob=cfg.keep_empty_prob, instruction=cfg.instruction)
-            for s in seeds:
-                inputs.append(self.split_files(s)["spec"])
-                inputs.append(self.denoise_files(s)["denoised"])
-                outputs.append(f"finetune/denoised_{s}.jsonl")
-        elif stage == "evaluate":
-            params.update(
-                final_predictor=cfg.final_predictor,
-                strict_seen=cfg.strict_seen,
-                instruction=cfg.instruction,
-            )
-            if cfg.final_predictor == "mock":
-                params["final_drop_prob"] = cfg.mock.final_drop_prob
-                params["world_seed"] = cfg.mock.world_seed
-            if cfg.final_predictor == "file":
-                params["predictions_dev"] = cfg.predictions_dev
-                params["predictions_test"] = cfg.predictions_test
-            for s in seeds:
-                inputs.append(self.split_files(s)["spec"])
-                inputs.append(self.split_files(s)["dev"])
-                inputs.append(self.split_files(s)["test"])
-                inputs.append(self.denoise_files(s)["denoised"])
-                outputs.append(f"eval/dev_{s}.json")
-                outputs.append(f"eval/test_{s}.json")
-                outputs.append(f"eval/predictions_dev_{s}.json")
-                outputs.append(f"eval/predictions_test_{s}.json")
-            outputs.append("report.json")
-            outputs.append("report.txt")
-        else:
-            raise StageError(f"unknown stage: {stage!r}")
-        return params, inputs, outputs
+        if stage in self._fresh:
+            return self._fresh[stage]
+        manifest = self.read_manifest(stage)
+        if manifest is None or manifest.status != "ok":
+            raise MissingStageError(f"missing stage: {stage} (run it before {consumer!r})")
+        expected: dict[str, str | None] = {**self._config_inputs(stage)}
+        for rel, dep in STAGES[stage].upstream_files(self.config.seeds).items():
+            expected[rel] = self._fresh_manifest(dep, consumer).outputs.get(rel)
+        changed = [key for key in sorted(expected.keys() | manifest.inputs.keys())
+                   if expected.get(key) != manifest.inputs.get(key)]
+        if changed:
+            raise _stale(stage, changed, consumer)
+        self._fresh[stage] = manifest
+        return manifest
 
-    def _source_digests(self, stage: str) -> dict[str, str]:
-        """Digests of config-named input files the stage reads directly."""
-        cfg = self.config
-        names: list[str] = []
-        if stage == "split":
-            names = ["registry", "train_docs", "dev_docs", "test_docs"]
-        elif stage in ("generate", "finetune-data", "pseudo-label", "denoise",
-                       "finetune-data-denoised", "evaluate"):
-            names = ["registry"]
-        digests: dict[str, str] = {}
-        for name in names:
-            path = Path(getattr(cfg, name))
-            if not path.exists():
-                raise StageError(f"config {name} points to a missing file: {path}")
-            digests[f"config:{name}"] = file_digest(path)
-        if stage == "generate" and cfg.templates_dir:
-            for tpl in sorted(Path(cfg.templates_dir).glob("*.txt")):
-                digests[f"template:{tpl.name}"] = file_digest(tpl)
-        if stage == "evaluate" and cfg.final_predictor == "file":
-            for name, template in (("dev", cfg.predictions_dev), ("test", cfg.predictions_test)):
-                if not template:
-                    continue
-                for seed in cfg.seeds:
-                    path = Path(str(template).replace("{seed}", str(seed)))
-                    if not path.exists():
-                        raise StageError(f"predictions file not found: {path}")
-                    digests[f"predictions:{name}:{seed}"] = file_digest(path)
+    def _check_deps(self, stage: str) -> None:
+        for dep in STAGES[stage].deps:
+            self._fresh_manifest(dep, stage)
+
+    def _compute_inputs(self, stage: str) -> dict[str, str]:
+        """The input digests ``stage`` is about to record; each run file must
+        hold what the upstream stage that wrote it recorded as an output."""
+        inputs = self._config_inputs(stage)
+        for rel, dep in STAGES[stage].upstream_files(self.config.seeds).items():
+            digest = self._digest(rel)
+            if digest is None or digest != self._fresh[dep].outputs.get(rel):
+                raise _stale(dep, [rel], stage)
+            inputs[rel] = digest
+        return inputs
+
+    def _outputs_intact(self, manifest: StageManifest) -> bool:
+        return all(self._digest(rel) == digest for rel, digest in manifest.outputs.items())
+
+    def _digest_written(self, stage: str, rel_paths: Iterable[str]) -> dict[str, str]:
+        digests = {}
+        for rel in rel_paths:
+            digest = self._digest(rel)
+            if digest is None:
+                raise StageError(f"stage {stage} finished without writing {self.path(rel)}")
+            digests[rel] = digest
         return digests
 
     # -- skip / run machinery -------------------------------------------------
 
-    def _check_deps(self, stage: str) -> None:
-        for dep in STAGE_DEPS[stage]:
-            manifest = self.read_manifest(dep)
-            if manifest is None or manifest.status != "ok":
-                raise MissingStageError(
-                    f"missing stage: {dep} (run it before {stage!r})"
-                )
-
-    def _compute_inputs(self, stage: str) -> dict[str, str]:
-        params, input_files, _ = self._stage_spec(stage)
-        inputs = {"params": self._params_digest(params)}
-        inputs.update(self._source_digests(stage))
-        inputs.update(self._digest_run_files(input_files))
-        return inputs
-
-    def _outputs_intact(self, manifest: StageManifest) -> bool:
-        for rel, digest in manifest.outputs.items():
-            path = self.path(rel)
-            if not path.exists() or file_digest(path) != digest:
-                return False
-        return True
-
     def run_stage(self, stage: str, force: bool = False) -> StageOutcome:
-        """Run one stage, or skip it when nothing it depends on has changed."""
-        if stage not in STAGE_ORDER:
+        """Run one stage for every seed, or skip it when it is still fresh."""
+        if stage not in STAGES:
             raise StageError(f"unknown stage: {stage!r}")
+        entry = STAGES[stage]
         self._check_deps(stage)
         inputs = self._compute_inputs(stage)
         manifest = self.read_manifest(stage)
@@ -420,12 +432,23 @@ class PipelineRunner:
             and self._outputs_intact(manifest)
         ):
             logger.info("stage %s: up to date, skipping", stage)
+            self._fresh[stage] = manifest
             return StageOutcome(stage=stage, status="skipped")
 
+        # this stage's outputs, and so every later stage's verdict, may change
+        for name in STAGE_ORDER[STAGE_ORDER.index(stage):]:
+            self._fresh.pop(name, None)
         started = _now()
-        runner = getattr(self, "_stage_" + stage.replace("-", "_"))
+        run_seed = getattr(self, "_stage_" + stage.replace("-", "_"))
+        outputs: dict[str, str] = {}
         try:
-            runner()
+            results: dict[int, Any] = {}
+            for seed in self.config.seeds:
+                results[seed] = run_seed(seed)
+                outputs.update(self._digest_written(stage, entry.outputs(seed).values()))
+            if entry.finish:
+                getattr(self, entry.finish)(results)
+                outputs.update(self._digest_written(stage, entry.finish_writes))
         except Exception as exc:
             self._write_manifest(StageManifest(
                 stage=stage, status="failed", inputs=inputs, outputs={},
@@ -436,18 +459,15 @@ class PipelineRunner:
             if isinstance(exc, (StageError, ParseError, ValidationError)):
                 raise
             raise StageError(f"stage {stage} failed: {exc}") from exc
+        finally:
+            self._sources = None
 
-        _, _, output_files = self._stage_spec(stage)
-        outputs = {}
-        for rel in output_files:
-            path = self.path(rel)
-            if not path.exists():
-                raise StageError(f"stage {stage} finished without writing {path}")
-            outputs[rel] = file_digest(path)
-        self._write_manifest(StageManifest(
+        manifest = StageManifest(
             stage=stage, status="ok", inputs=inputs, outputs=outputs,
             started_at=started, finished_at=_now(),
-        ))
+        )
+        self._write_manifest(manifest)
+        self._fresh[stage] = manifest
         logger.info("stage %s: done (%d output files)", stage, len(outputs))
         return StageOutcome(stage=stage, status="ran")
 
@@ -455,11 +475,12 @@ class PipelineRunner:
         """Run the given stages (default: all) under the run-directory lock."""
         wanted = list(stages) if stages is not None else list(STAGE_ORDER)
         for stage in wanted:
-            if stage not in STAGE_ORDER:
+            if stage not in STAGES:
                 raise StageError(f"unknown stage: {stage!r}")
         ordered = [s for s in STAGE_ORDER if s in wanted]
         with run_lock(self.run_dir):
             write_json_atomic(self.path("effective_config.json"), self.config.to_json())
+            self._fresh = {}
             return [self.run_stage(stage, force=force) for stage in ordered]
 
     # -- transports -----------------------------------------------------------
@@ -474,11 +495,6 @@ class PipelineRunner:
             self.config.n_related,
             self.config.mock,
         )
-
-    def _chat_backend(self, seed: int, spec: SplitSpec) -> ChatBackend:
-        if self.chat_backend_factory is not None:
-            return self.chat_backend_factory(self, seed, spec)
-        return self.default_chat_backend(seed, spec)
 
     def default_chat_backend(self, seed: int, spec: SplitSpec) -> ChatBackend:
         cfg = self.config
@@ -504,11 +520,6 @@ class PipelineRunner:
             rate_limiter=limiter,
         )
 
-    def _pseudo_predictor(self, seed: int, spec: SplitSpec) -> PredictorBackend:
-        if self.predictor_factory is not None:
-            return self.predictor_factory(self, seed, spec)
-        return self.default_pseudo_predictor(seed, spec)
-
     def default_pseudo_predictor(self, seed: int, spec: SplitSpec) -> PredictorBackend:
         cfg = self.config
         if cfg.predictor == "mock":
@@ -526,12 +537,6 @@ class PipelineRunner:
         raise StageError(
             "predictor is 'none'; configure mock, process, or http to run pseudo-label"
         )
-
-    def _final_predictor(self, seed: int, spec: SplitSpec, gold: Corpus,
-                         split_name: str) -> PredictorBackend:
-        if self.final_predictor_factory is not None:
-            return self.final_predictor_factory(self, seed, spec, gold, split_name)
-        return self.default_final_predictor(seed, spec, gold, split_name)
 
     def default_final_predictor(self, seed: int, spec: SplitSpec, gold: Corpus,
                                 split_name: str) -> PredictorBackend:
@@ -552,23 +557,22 @@ class PipelineRunner:
 
     # -- stages ---------------------------------------------------------------
 
-    def _stage_split(self) -> None:
+    def _stage_split(self, seed: int) -> None:
         cfg = self.config
-        registry = self.registry
-        train_src = load_docred(cfg.train_docs, registry)
-        dev_src = load_docred(cfg.dev_docs, registry)
-        test_src = load_docred(cfg.test_docs, registry)
-        for spec in make_replicates(registry, cfg.m, cfg.seeds):
-            bundle = apply_split(train_src, dev_src, test_src, spec, cfg.mixed_policy)
-            files = self.split_files(spec.seed)
-            save_split_spec(spec, self.path(files["spec"]))
-            save_corpus(bundle.train, self.path(files["train"]))
-            save_corpus(bundle.eval_dev, self.path(files["dev"]))
-            save_corpus(bundle.eval_test, self.path(files["test"]))
+        if self._sources is None:
+            self._sources = (load_docred(cfg.train_docs, self.registry),
+                             load_docred(cfg.dev_docs, self.registry),
+                             load_docred(cfg.test_docs, self.registry))
+        spec = sample_unseen(self.registry, cfg.m, seed)
+        bundle = apply_split(*self._sources, spec, cfg.mixed_policy)
+        files = self._files("split", seed)
+        save_split_spec(spec, files["spec"])
+        save_corpus(bundle.train, files["train"])
+        save_corpus(bundle.eval_dev, files["dev"])
+        save_corpus(bundle.eval_test, files["test"])
 
-    def _stage_generate(self) -> None:
+    def _stage_generate(self, seed: int) -> None:
         cfg = self.config
-        prompts = PromptLibrary(cfg.templates_dir)
         chain_config = ChainConfig(
             n_related=cfg.n_related,
             docs_per_relation=cfg.docs_per_relation,
@@ -578,72 +582,64 @@ class PipelineRunner:
             prompt_mode=cfg.prompt_mode,
             entity_types=cfg.entity_types,
         )
-        for seed in cfg.seeds:
-            spec = load_split_spec(self.path(self.split_files(seed)["spec"]))
-            backend = self._chat_backend(seed, spec)
-            corpus, records = generate_corpus(
-                backend, sorted(spec.unseen), self.registry, chain_config,
-                prompts=prompts, parallelism=cfg.parallelism,
+        files = self._files("generate", seed)
+        spec = load_split_spec(files["spec"])
+        backend = self.chat_backend_factory(self, seed, spec)
+        corpus, records = generate_corpus(
+            backend, sorted(spec.unseen), self.registry, chain_config,
+            prompts=PromptLibrary(cfg.templates_dir), parallelism=cfg.parallelism,
+        )
+        save_corpus(corpus, files["synthetic"])
+        write_json_atomic(files["records"], [r.to_json() for r in records])
+
+    def _stage_finetune_data(self, seed: int) -> None:
+        cfg = self.config
+        files = self._files("finetune-data", seed)
+        spec = load_split_spec(files["spec"])
+        train = load_corpus(files["train"], self.registry)
+        groups = partition_relations(sorted(spec.seen), cfg.group_size, seed=seed)
+        policy = FinetunePolicy(instruction=cfg.instruction,
+                                keep_empty_prob=cfg.keep_empty_prob, seed=seed)
+        samples = assemble_finetune_dataset(train, groups, policy, self.registry)
+        write_finetune_file(samples, files["samples"])
+
+    def _stage_pseudo_label(self, seed: int) -> None:
+        cfg = self.config
+        files = self._files("pseudo-label", seed)
+        spec = load_split_spec(files["spec"])
+        synthetic = load_corpus(files["synthetic"], self.registry)
+        predictor = self.predictor_factory(self, seed, spec)
+        try:
+            labels = infer_pseudo_labels(
+                predictor, synthetic, sorted(spec.unseen),
+                cfg.instruction, self.registry,
             )
-            files = self.generate_files(seed)
-            save_corpus(corpus, self.path(files["synthetic"]))
-            write_json_atomic(self.path(files["records"]),
-                              [r.to_json() for r in records])
+        finally:
+            close = getattr(predictor, "close", None)
+            if close:
+                close()
+        write_json_atomic(files["pseudo"], labels.to_json())
 
-    def _stage_finetune_data(self) -> None:
+    def _stage_denoise(self, seed: int) -> None:
+        files = self._files("denoise", seed)
+        spec = load_split_spec(files["spec"])
+        synthetic = load_corpus(files["synthetic"], self.registry)
+        pseudo = PseudoLabelSet.from_json(load_json(files["pseudo"]))
+        denoised, report, rows = denoise(synthetic, pseudo.fact_sets(), sorted(spec.unseen))
+        save_corpus(denoised, files["denoised"])
+        write_json_atomic(files["kg"], rows)
+        write_json_atomic(files["report"], report.to_json())
+
+    def _stage_finetune_data_denoised(self, seed: int) -> None:
         cfg = self.config
-        for seed in cfg.seeds:
-            spec = load_split_spec(self.path(self.split_files(seed)["spec"]))
-            train = load_corpus(self.path(self.split_files(seed)["train"]), self.registry)
-            groups = partition_relations(sorted(spec.seen), cfg.group_size, seed=seed)
-            policy = FinetunePolicy(instruction=cfg.instruction,
-                                    keep_empty_prob=cfg.keep_empty_prob, seed=seed)
-            samples = assemble_finetune_dataset(train, groups, policy, self.registry)
-            write_finetune_file(samples, self.path(f"finetune/pretrain_{seed}.jsonl"))
-
-    def _stage_pseudo_label(self) -> None:
-        cfg = self.config
-        for seed in cfg.seeds:
-            spec = load_split_spec(self.path(self.split_files(seed)["spec"]))
-            synthetic = load_corpus(
-                self.path(self.generate_files(seed)["synthetic"]), self.registry)
-            predictor = self._pseudo_predictor(seed, spec)
-            try:
-                labels = infer_pseudo_labels(
-                    predictor, synthetic, sorted(spec.unseen),
-                    cfg.instruction, self.registry,
-                )
-            finally:
-                close = getattr(predictor, "close", None)
-                if close:
-                    close()
-            write_json_atomic(self.path(f"pseudo/pseudo_{seed}.json"), labels.to_json())
-
-    def _stage_denoise(self) -> None:
-        for seed in self.config.seeds:
-            spec = load_split_spec(self.path(self.split_files(seed)["spec"]))
-            synthetic = load_corpus(
-                self.path(self.generate_files(seed)["synthetic"]), self.registry)
-            pseudo = PseudoLabelSet.from_json(
-                load_json(self.path(f"pseudo/pseudo_{seed}.json")))
-            denoised, report, rows = denoise(
-                synthetic, pseudo.fact_sets(), sorted(spec.unseen))
-            files = self.denoise_files(seed)
-            save_corpus(denoised, self.path(files["denoised"]))
-            write_json_atomic(self.path(files["kg"]), rows)
-            write_json_atomic(self.path(files["report"]), report.to_json())
-
-    def _stage_finetune_data_denoised(self) -> None:
-        cfg = self.config
-        for seed in cfg.seeds:
-            spec = load_split_spec(self.path(self.split_files(seed)["spec"]))
-            denoised = load_corpus(
-                self.path(self.denoise_files(seed)["denoised"]), self.registry)
-            groups = [RelationGroup(index=0, relations=tuple(sorted(spec.unseen)))]
-            policy = FinetunePolicy(instruction=cfg.instruction,
-                                    keep_empty_prob=cfg.keep_empty_prob, seed=seed)
-            samples = assemble_finetune_dataset(denoised, groups, policy, self.registry)
-            write_finetune_file(samples, self.path(f"finetune/denoised_{seed}.jsonl"))
+        files = self._files("finetune-data-denoised", seed)
+        spec = load_split_spec(files["spec"])
+        denoised = load_corpus(files["denoised"], self.registry)
+        groups = [RelationGroup(index=0, relations=tuple(sorted(spec.unseen)))]
+        policy = FinetunePolicy(instruction=cfg.instruction,
+                                keep_empty_prob=cfg.keep_empty_prob, seed=seed)
+        samples = assemble_finetune_dataset(denoised, groups, policy, self.registry)
+        write_finetune_file(samples, files["samples"])
 
     def _final_predictions(self, seed: int, spec: SplitSpec, gold: Corpus,
                            split_name: str) -> dict[str, list[tuple[str, str, str]]]:
@@ -652,7 +648,7 @@ class PipelineRunner:
             template = cfg.predictions_dev if split_name == "dev" else cfg.predictions_test
             if not template:
                 raise StageError(f"no predictions file configured for the {split_name} split")
-            path = Path(str(template).replace("{seed}", str(seed)))
+            path = _predictions_path(template, seed)
             raw = load_predictions(path)
             resolved: dict[str, list[tuple[str, str, str]]] = {}
             for doc_id, triples in raw.items():
@@ -667,7 +663,7 @@ class PipelineRunner:
                     rows.append((head, tail, rel.id))
                 resolved[doc_id] = rows
             return resolved
-        predictor = self._final_predictor(seed, spec, gold, split_name)
+        predictor = self.final_predictor_factory(self, seed, spec, gold, split_name)
         menu = [self.registry.name_of(r) for r in sorted(spec.unseen)]
         predictions: dict[str, list[tuple[str, str, str]]] = {}
         try:
@@ -685,28 +681,28 @@ class PipelineRunner:
                 close()
         return predictions
 
-    def _stage_evaluate(self) -> None:
+    def _stage_evaluate(self, seed: int) -> dict[str, dict[str, EvalResult]]:
         cfg = self.config
-        per_seed: dict[int, dict[str, dict[str, EvalResult]]] = {}
-        for seed in cfg.seeds:
-            files = self.split_files(seed)
-            spec = load_split_spec(self.path(files["spec"]))
-            per_seed[seed] = {}
-            for split_name in ("dev", "test"):
-                gold = load_corpus(self.path(files[split_name]), self.registry)
-                preds = self._final_predictions(seed, spec, gold, split_name)
-                save_predictions(
-                    preds, self.path(f"eval/predictions_{split_name}_{seed}.json"))
-                rte = evaluate_rte(preds, gold, spec.unseen, cfg.strict_seen)
-                re_preds = _index_predictions(preds, gold)
-                re = evaluate_re(re_preds, gold, spec.unseen, cfg.strict_seen)
-                per_seed[seed][split_name] = {"rte": rte, "re": re}
-                write_json_atomic(
-                    self.path(f"eval/{split_name}_{seed}.json"),
-                    {"seed": seed, "split": split_name,
-                     "rte": rte.to_json(), "re": re.to_json()},
-                )
-        report = build_report(cfg, per_seed)
+        files = self._files("evaluate", seed)
+        spec = load_split_spec(files["spec"])
+        results: dict[str, dict[str, EvalResult]] = {}
+        for split_name in ("dev", "test"):
+            gold = load_corpus(files[split_name], self.registry)
+            preds = self._final_predictions(seed, spec, gold, split_name)
+            save_predictions(preds, files[f"predictions_{split_name}"])
+            rte = evaluate_rte(preds, gold, spec.unseen, cfg.strict_seen)
+            re_preds = _index_predictions(preds, gold)
+            re = evaluate_re(re_preds, gold, spec.unseen, cfg.strict_seen)
+            results[split_name] = {"rte": rte, "re": re}
+            write_json_atomic(
+                files[f"scores_{split_name}"],
+                {"seed": seed, "split": split_name,
+                 "rte": rte.to_json(), "re": re.to_json()},
+            )
+        return results
+
+    def _write_report(self, per_seed: Mapping[int, Mapping[str, Mapping[str, EvalResult]]]) -> None:
+        report = build_report(self.config, per_seed)
         write_json_atomic(self.path("report.json"), report)
         write_text_atomic(self.path("report.txt"), render_report_text(report))
 

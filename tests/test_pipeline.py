@@ -11,8 +11,8 @@ from docrte.backends import CountingBackend
 from docrte.cli import main
 from docrte.config import load_config
 from docrte.pipeline import (
-    STAGE_DEPS,
     STAGE_ORDER,
+    STAGES,
     MissingStageError,
     PipelineRunner,
     StageError,
@@ -61,10 +61,13 @@ def run_tree_bytes(run_dir, exclude=("manifests", "effective_config.json", ".loc
 
 class TestStageGraph:
     def test_every_stage_has_declared_dependencies(self):
-        assert set(STAGE_DEPS) == set(STAGE_ORDER)
-        for stage, deps in STAGE_DEPS.items():
-            for dep in deps:
-                assert STAGE_ORDER.index(dep) < STAGE_ORDER.index(stage)
+        assert tuple(STAGES) == STAGE_ORDER
+        for name, stage in STAGES.items():
+            for dep, keys in stage.reads.items():
+                assert STAGE_ORDER.index(dep) < STAGE_ORDER.index(name)
+                assert set(keys) <= set(STAGES[dep].writes), (name, dep)
+            # a stage's files are looked up by key, so read and written keys differ
+            assert not set(stage.inputs(1)) & set(stage.writes), name
 
 
 class TestFullRun:
@@ -150,12 +153,15 @@ class TestResume:
 
     def test_parameter_change_invalidates_only_dependents(self, workspace):
         make_runner(workspace).run()
-        data = dict(PIPELINE_CONFIG, strict_seen=True)
-        workspace.write_text(json.dumps(data), encoding="utf-8")
-        outcomes = outcome_map(make_runner(workspace).run())
-        assert outcomes["evaluate"] == "ran"
-        assert all(v == "skipped" for stage, v in outcomes.items()
-                   if stage != "evaluate")
+        data = dict(PIPELINE_CONFIG)
+        mock = dict(PIPELINE_CONFIG["mock"], final_drop_prob=0.5)
+        for change in ({"strict_seen": True}, {"mock": mock}):
+            data.update(change)
+            workspace.write_text(json.dumps(data), encoding="utf-8")
+            outcomes = outcome_map(make_runner(workspace).run())
+            assert outcomes["evaluate"] == "ran", change
+            assert all(v == "skipped" for stage, v in outcomes.items()
+                       if stage != "evaluate"), (change, outcomes)
 
     def test_group_size_change_touches_only_pretraining_data(self, workspace):
         make_runner(workspace).run()
@@ -174,6 +180,51 @@ class TestResume:
         train.write_text(json.dumps(rows[:-1]), encoding="utf-8")
         outcomes = outcome_map(make_runner(workspace).run())
         assert outcomes["split"] == "ran"
+
+    def test_mixed_policy_change_reaches_the_report(self, workspace):
+        runner = make_runner(workspace)
+        runner.run()
+        workspace.write_text(json.dumps(dict(PIPELINE_CONFIG, mixed_policy="strip")),
+                             encoding="utf-8")
+        outcomes = outcome_map(make_runner(workspace).run())
+        assert outcomes["evaluate"] == "ran"
+        report = json.loads((runner.run_dir / "report.json").read_text())
+        assert report["mixed_policy"] == "strip"
+
+    def test_stale_upstream_refuses_single_stage(self, workspace):
+        runner = make_runner(workspace)
+        runner.run()
+        workspace.write_text(json.dumps(dict(PIPELINE_CONFIG, m=3)), encoding="utf-8")
+        with pytest.raises(MissingStageError, match="stale stage: split"):
+            make_runner(workspace).run(["evaluate"])
+        result = CliRunner().invoke(main, ["--config", str(workspace), "evaluate"])
+        assert result.exit_code == 2
+        assert "stale stage: split" in result.stderr
+        outcomes = outcome_map(make_runner(workspace).run())
+        assert set(outcomes.values()) == {"ran"}
+        report = json.loads((runner.run_dir / "report.json").read_text())
+        assert report["m"] == 3
+
+    def test_tampered_upstream_output_refuses_single_stage(self, workspace):
+        runner = make_runner(workspace)
+        runner.run()
+        target = runner.run_dir / "denoise" / "denoised_3.json"
+        target.write_text(target.read_text() + " ", encoding="utf-8")
+        with pytest.raises(MissingStageError, match="stale stage: denoise"):
+            make_runner(workspace).run(["evaluate"])
+
+    def test_unwritten_output_records_failed_manifest(self, workspace):
+        class SkipsSeed5(PipelineRunner):
+            def _stage_finetune_data(self, seed):
+                if seed != 5:
+                    super()._stage_finetune_data(seed)
+
+        make_runner(workspace).run()
+        runner = SkipsSeed5(load_config(workspace))
+        (runner.run_dir / "finetune" / "pretrain_5.jsonl").unlink()
+        with pytest.raises(StageError, match="without writing"):
+            runner.run(["finetune-data"])
+        assert runner.read_manifest("finetune-data").status == "failed"
 
     def test_missing_dependency_is_reported(self, workspace):
         runner = make_runner(workspace)
