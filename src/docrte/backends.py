@@ -13,11 +13,12 @@ import logging
 import os
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .docio import load_json, write_json_atomic
+from .docio import write_text_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -88,9 +89,6 @@ class ChatTranscript:
 
     def messages(self) -> list[dict[str, str]]:
         return [{"role": t.role, "text": t.text} for t in self._turns]
-
-    def to_json(self) -> list[dict[str, str]]:
-        return self.messages()
 
 
 @dataclass(frozen=True)
@@ -168,13 +166,38 @@ class ScriptedBackend(ChatBackend):
         return value[min(meta.attempt, len(value) - 1)]
 
 
-class CassetteBackend(ChatBackend):
-    """Record/replay transport backed by a JSON list of hash->text entries.
+def _cassette_line(digest: str, text: str) -> str:
+    """One cassette entry as a canonical JSONL line."""
+    entry = {"request_hash": digest, "response_text": text}
+    return json.dumps(entry, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n"
 
-    Replay consumes entries in file order per request hash, so repeated
-    identical requests (sampling) replay in the order they were recorded.
-    Record mode delegates to an inner backend and appends to the cassette
-    after every call.
+
+def _cassette_entry(obj: Any, where: str) -> tuple[str, str]:
+    if not (isinstance(obj, dict) and isinstance(obj.get("request_hash"), str)
+            and isinstance(obj.get("response_text"), str)):
+        raise BackendError(
+            f"{where}: cassette entries need string 'request_hash' and 'response_text'")
+    return obj["request_hash"], obj["response_text"]
+
+
+class CassetteBackend(ChatBackend):
+    """Record/replay transport backed by an append-only JSONL journal.
+
+    Each line holds one entry, ``{"request_hash": ..., "response_text": ...}``,
+    as canonical JSON (sorted keys, compact separators, UTF-8).  Replay
+    consumes entries in file order per request hash, so repeated identical
+    requests (sampling) replay in the order they were recorded.  Record mode
+    delegates to an inner backend, then appends one line per call and closes
+    the file, which flushes it to the OS (there is no ``fsync``), so recording
+    n calls writes O(n) bytes.
+
+    Only lines that end in a newline count: an unterminated last line is what
+    a crash mid-write leaves, so replay ignores it with a warning and record
+    mode cuts it off before appending; a crash loses at most the call in
+    flight.  Any other malformed line raises :class:`BackendError` naming the
+    file and line.  A file that starts with ``[`` is a legacy JSON-list
+    cassette: replay reads it as it is, record mode rewrites it once,
+    atomically, as JSONL and then appends.
     """
 
     def __init__(self, path: Path | str, mode: str = "replay",
@@ -187,38 +210,64 @@ class CassetteBackend(ChatBackend):
         self.mode = mode
         self.inner = inner
         self._lock = threading.Lock()
-        self._entries: list[dict[str, str]] = []
-        self._cursor: dict[str, int] = {}
-        if self.path.exists():
-            data = load_json(self.path)
-            if not isinstance(data, list):
-                raise BackendError(f"{self.path}: cassette must be a JSON list")
-            self._entries = data
+        # replay: the unconsumed responses per request hash, in file order
+        self._replay: dict[str, deque[str]] = {}
+        if not self.path.exists():
+            if mode == "replay":
+                raise BackendError(f"cassette not found: {self.path}")
+            self.path.parent.mkdir(parents=True, exist_ok=True)
         elif mode == "replay":
-            raise BackendError(f"cassette not found: {self.path}")
+            for h, text in self._read():
+                self._replay.setdefault(h, deque()).append(text)
+        else:
+            self._read()  # checks the file and readies it for appending
+
+    def _read(self) -> list[tuple[str, str]]:
+        """The entries of the cassette file in order.  In record mode, also
+        leave the file ready to append to: a legacy JSON list is rewritten as
+        JSONL and an unterminated last line is cut off."""
+        data = self.path.read_bytes()
+        if data.startswith(b"["):
+            try:
+                rows = json.loads(data)
+            except ValueError as exc:
+                raise BackendError(f"{self.path}: malformed JSON-list cassette: {exc}") from exc
+            entries = [_cassette_entry(row, f"{self.path} entry {i}")
+                       for i, row in enumerate(rows)]
+            if self.mode == "record":
+                logger.info("%s: rewriting the JSON-list cassette as JSONL", self.path)
+                write_text_atomic(self.path, "".join(_cassette_line(h, text)
+                                                     for h, text in entries))
+            return entries
+        complete = data.rfind(b"\n") + 1
+        entries = []
+        for number, line in enumerate(data[:complete].split(b"\n")[:-1], 1):
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise BackendError(f"{self.path}:{number}: malformed cassette line: {exc}") from exc
+            entries.append(_cassette_entry(row, f"{self.path}:{number}"))
+        if complete < len(data):
+            logger.warning("%s: ignoring an unterminated last line (%d bytes) left by an "
+                           "interrupted write", self.path, len(data) - complete)
+            if self.mode == "record":
+                os.truncate(self.path, complete)
+        return entries
 
     def send(self, transcript, temperature, meta=None):
         h = request_hash(transcript, temperature)
         if self.mode == "replay":
             with self._lock:
-                start = self._cursor.get(h, 0)
-                for i in range(start, len(self._entries)):
-                    entry = self._entries[i]
-                    if entry["request_hash"] == h and not entry.get("_consumed"):
-                        entry["_consumed"] = True
-                        self._cursor[h] = i + 1
-                        return entry["response_text"]
+                queue = self._replay.get(h)
+                if queue:
+                    return queue.popleft()
             raise BackendError(
                 f"cassette {self.path} has no unconsumed entry for request hash {h}"
             )
         text = self.inner.send(transcript, temperature, meta)
-        with self._lock:
-            self._entries.append({"request_hash": h, "response_text": text})
-            write_json_atomic(
-                self.path,
-                [{"request_hash": e["request_hash"], "response_text": e["response_text"]}
-                 for e in self._entries],
-            )
+        line = _cassette_line(h, text).encode("utf-8")
+        with self._lock, open(self.path, "ab") as journal:
+            journal.write(line)
         return text
 
 
@@ -247,7 +296,7 @@ class RateLimiter:
             time.sleep(wait)
 
 
-RETRYABLE_STATUS = {429, 500, 502, 503, 504}
+RETRYABLE_STATUS = {408, 429, 500, 502, 503, 504}
 
 
 class LiveChatBackend(ChatBackend):
@@ -255,7 +304,8 @@ class LiveChatBackend(ChatBackend):
 
     The bearer token is read from the environment variable named by
     ``api_key_env`` at call time; secrets never land in config files or run
-    artifacts.  Retryable statuses (429 and 5xx) back off exponentially.
+    artifacts.  Retryable statuses (408 request timeout, 429 and 5xx) back off
+    exponentially.
     """
 
     def __init__(

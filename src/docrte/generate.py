@@ -130,7 +130,7 @@ class GenerationRecord:
             "unseen_relation": self.unseen_relation,
             "doc_id": self.doc_id,
             "related": list(self.related),
-            "transcript": self.transcript.to_json(),
+            "transcript": self.transcript.messages(),
             "accepted_turn_indices": list(self.accepted_turn_indices),
             "document": self.document.doc_id if self.document else None,
             "grounding": self.grounding.to_json(),

@@ -16,7 +16,7 @@ file that a resume would mistake for a completed one.
 
 Run directory layout::
 
-    effective_config.json       resolved configuration echo
+    effective_config.json       config used by the last stage that ran
     manifests/<stage>.json      one manifest per stage
     split/spec_<seed>.json      sampled unseen relations
     split/{train,dev,test}_<seed>.json
@@ -122,6 +122,8 @@ def _generate_sources(cfg: PipelineConfig) -> dict[str, Path]:
     if cfg.templates_dir:
         files.update({f"template:{tpl.name}": tpl
                       for tpl in sorted(Path(cfg.templates_dir).glob("*.txt"))})
+    if cfg.backend == "cassette" and cfg.cassette_mode == "replay":
+        files["config:cassette_path"] = Path(cfg.cassette_path)
     return files
 
 
@@ -320,6 +322,8 @@ class PipelineRunner:
         self._sources: tuple[Corpus, Corpus, Corpus] | None = None
         # manifests of the stages known to be fresh in the current run()
         self._fresh: dict[str, StageManifest] = {}
+        # whether effective_config.json echoes this config yet
+        self._config_written = False
 
     # -- small helpers ------------------------------------------------------
 
@@ -438,6 +442,9 @@ class PipelineRunner:
         # this stage's outputs, and so every later stage's verdict, may change
         for name in STAGE_ORDER[STAGE_ORDER.index(stage):]:
             self._fresh.pop(name, None)
+        if not self._config_written:
+            write_json_atomic(self.path("effective_config.json"), self.config.to_json())
+            self._config_written = True
         started = _now()
         run_seed = getattr(self, "_stage_" + stage.replace("-", "_"))
         outputs: dict[str, str] = {}
@@ -479,8 +486,8 @@ class PipelineRunner:
                 raise StageError(f"unknown stage: {stage!r}")
         ordered = [s for s in STAGE_ORDER if s in wanted]
         with run_lock(self.run_dir):
-            write_json_atomic(self.path("effective_config.json"), self.config.to_json())
             self._fresh = {}
+            self._config_written = False
             return [self.run_stage(stage, force=force) for stage in ordered]
 
     # -- transports -----------------------------------------------------------

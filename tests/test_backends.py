@@ -112,6 +112,20 @@ class TestScriptedBackend:
         assert envelope.messages[-1] == {"role": "user", "text": "q"}
 
 
+@dataclass
+class EchoBackend:
+    """Answers with the last user turn; raises once ``fail_after`` calls are done."""
+
+    fail_after: int | None = None
+    calls: int = 0
+
+    def send(self, transcript, temperature, meta=None):
+        if self.fail_after is not None and self.calls >= self.fail_after:
+            raise BackendError("inner backend down")
+        self.calls += 1
+        return "café " + transcript.turns[-1].text
+
+
 class TestCassetteBackend:
     def test_replay_consumes_duplicates_in_order(self, tmp_path):
         t = transcript("s", "q")
@@ -154,6 +168,84 @@ class TestCassetteBackend:
     def test_record_requires_inner(self, tmp_path):
         with pytest.raises(ValueError):
             CassetteBackend(tmp_path / "c.json", mode="record")
+
+    def test_record_appends_one_canonical_line_per_call(self, tmp_path):
+        cassette = tmp_path / "c.json"
+        recorder = CassetteBackend(cassette, mode="record", inner=EchoBackend())
+        recorder.send(transcript("s", "q0"), 0.0)
+        inode = cassette.stat().st_ino
+        for i in range(1, 5):
+            recorder.send(transcript("s", f"q{i}"), 0.0)
+        assert cassette.stat().st_ino == inode  # appended to, never replaced
+        lines = cassette.read_text(encoding="utf-8").split("\n")
+        assert lines[-1] == "" and len(lines) == 6
+        for i, line in enumerate(lines[:-1]):
+            entry = {"request_hash": request_hash(transcript("s", f"q{i}"), 0.0),
+                     "response_text": f"café q{i}"}
+            assert line == json.dumps(entry, ensure_ascii=False, sort_keys=True,
+                                      separators=(",", ":"))
+
+    def test_legacy_json_list_replays_and_is_migrated_once(self, tmp_path):
+        t1, t2, t3 = (transcript("s", q) for q in ("q1", "q2", "q3"))
+        cassette = tmp_path / "c.json"
+        cassette.write_text(json.dumps([
+            {"request_hash": request_hash(t1, 0.0), "response_text": "one"},
+            {"request_hash": request_hash(t2, 0.0), "response_text": "two"},
+        ], indent=2), encoding="utf-8")
+        replayer = CassetteBackend(cassette, mode="replay")
+        assert [replayer.send(t, 0.0) for t in (t1, t2)] == ["one", "two"]
+
+        recorder = CassetteBackend(cassette, mode="record", inner=EchoBackend())
+        assert cassette.read_text(encoding="utf-8").count("\n") == 2
+        inode = cassette.stat().st_ino
+        recorder.send(t3, 0.0)
+        CassetteBackend(cassette, mode="record", inner=EchoBackend())  # already JSONL
+        assert cassette.stat().st_ino == inode
+        assert cassette.read_text(encoding="utf-8").count("\n") == 3
+        replayer = CassetteBackend(cassette, mode="replay")
+        assert [replayer.send(t, 0.0) for t in (t1, t2, t3)] == ["one", "two", "café q3"]
+
+    def test_unterminated_last_line_is_dropped_then_truncated(self, tmp_path, caplog):
+        t1, t2 = transcript("s", "q1"), transcript("s", "q2")
+        cassette = tmp_path / "c.json"
+        CassetteBackend(cassette, mode="record", inner=EchoBackend()).send(t1, 0.0)
+        whole = cassette.read_bytes()
+        cassette.write_bytes(whole + b'{"request_hash":"' + request_hash(t2, 0.0).encode())
+        replayer = CassetteBackend(cassette, mode="replay")
+        assert "unterminated last line" in caplog.text
+        assert replayer.send(t1, 0.0) == "café q1"
+        with pytest.raises(BackendError):
+            replayer.send(t2, 0.0)
+
+        CassetteBackend(cassette, mode="record", inner=EchoBackend()).send(t2, 0.0)
+        assert cassette.read_bytes().startswith(whole)
+        assert cassette.read_bytes().count(b"\n") == 2
+        replayer = CassetteBackend(cassette, mode="replay")
+        assert [replayer.send(t, 0.0) for t in (t1, t2)] == ["café q1", "café q2"]
+
+    def test_malformed_inner_line_names_file_and_line(self, tmp_path):
+        cassette = tmp_path / "c.json"
+        CassetteBackend(cassette, mode="record", inner=EchoBackend()).send(
+            transcript("s", "q"), 0.0)
+        line = cassette.read_text(encoding="utf-8")
+        cassette.write_text(line + "not json\n" + line, encoding="utf-8")
+        for mode in ("replay", "record"):
+            with pytest.raises(BackendError, match=r"c\.json:2: malformed"):
+                CassetteBackend(cassette, mode=mode, inner=EchoBackend())
+
+    def test_inner_failure_after_k_calls_keeps_k_entries(self, tmp_path):
+        k = 3
+        cassette = tmp_path / "c.json"
+        recorder = CassetteBackend(cassette, mode="record", inner=EchoBackend(fail_after=k))
+        requests = [transcript("s", f"q{i}") for i in range(k + 1)]
+        for t in requests[:k]:
+            recorder.send(t, 0.0)
+        with pytest.raises(BackendError, match="inner backend down"):
+            recorder.send(requests[k], 0.0)
+        replayer = CassetteBackend(cassette, mode="replay")
+        assert [replayer.send(t, 0.0) for t in requests[:k]] == [f"café q{i}" for i in range(k)]
+        with pytest.raises(BackendError, match="no unconsumed entry"):
+            replayer.send(requests[k], 0.0)
 
 
 @dataclass
@@ -216,6 +308,13 @@ class TestLiveChatBackend:
         monkeypatch.setenv("TEST_CHAT_KEY", "sk-123")
         backend, session = self.make(
             [FakeResponse(429, text="slow down"), completion("ok")])
+        assert backend.send(transcript("s", "q"), 0.0) == "ok"
+        assert len(session.requests) == 2
+
+    def test_retries_on_408_then_succeeds(self, monkeypatch):
+        monkeypatch.setenv("TEST_CHAT_KEY", "sk-123")
+        backend, session = self.make(
+            [FakeResponse(408, text="request timeout"), completion("ok")])
         assert backend.send(transcript("s", "q"), 0.0) == "ok"
         assert len(session.requests) == 2
 

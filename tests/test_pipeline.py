@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from docrte.backends import CountingBackend
+from docrte.backends import CassetteBackend, CountingBackend
 from docrte.cli import main
 from docrte.config import load_config
 from docrte.pipeline import (
@@ -204,6 +204,40 @@ class TestResume:
         assert set(outcomes.values()) == {"ran"}
         report = json.loads((runner.run_dir / "report.json").read_text())
         assert report["m"] == 3
+
+    def test_refused_command_leaves_effective_config(self, workspace):
+        workspace.write_text(json.dumps(dict(PIPELINE_CONFIG, m=3)), encoding="utf-8")
+        runner = make_runner(workspace)
+        runner.run()
+        before = (runner.run_dir / "effective_config.json").read_bytes()
+        workspace.write_text(json.dumps(dict(PIPELINE_CONFIG, m=2)), encoding="utf-8")
+        result = CliRunner().invoke(main, ["--config", str(workspace), "evaluate"])
+        assert result.exit_code == 2
+        assert (runner.run_dir / "effective_config.json").read_bytes() == before
+
+    def test_replayed_cassette_is_an_input_of_generate(self, workspace):
+        def recording(runner, seed, spec):
+            return CassetteBackend(workspace.parent / "a.json", mode="record",
+                                   inner=runner.default_chat_backend(seed, spec))
+
+        runner = make_runner(workspace, chat_backend_factory=recording)
+        runner.run(["split", "generate"])
+        recorded = run_tree_bytes(runner.run_dir / "generate")
+        replay = dict(PIPELINE_CONFIG, backend="cassette", cassette_path="a.json")
+        workspace.write_text(json.dumps(replay), encoding="utf-8")
+        assert outcome_map(make_runner(workspace).run(["generate"])) == {"generate": "ran"}
+        assert run_tree_bytes(runner.run_dir / "generate") == recorded
+        assert outcome_map(make_runner(workspace).run(["generate"])) == {"generate": "skipped"}
+
+        # the same responses plus one entry no request asks for
+        cassette_b = workspace.parent / "b.json"
+        cassette_b.write_bytes((workspace.parent / "a.json").read_bytes()
+                               + b'{"request_hash":"0","response_text":"unused"}\n')
+        workspace.write_text(json.dumps(dict(replay, cassette_path="b.json")), encoding="utf-8")
+        with pytest.raises(MissingStageError, match="stale stage: generate"):
+            make_runner(workspace).run(["pseudo-label"])
+        assert outcome_map(make_runner(workspace).run(["generate"])) == {"generate": "ran"}
+        assert run_tree_bytes(runner.run_dir / "generate") == recorded
 
     def test_tampered_upstream_output_refuses_single_stage(self, workspace):
         runner = make_runner(workspace)
