@@ -13,199 +13,27 @@ precision/recall/F1.
 """
 from __future__ import annotations
 
-from .backends import (
-    BackendError,
-    CassetteBackend,
-    ChatBackend,
-    ChatTranscript,
-    ChatTurn,
-    CountingBackend,
-    LiveChatBackend,
-    RequestMeta,
-    ScriptedBackend,
-    TranscriptError,
-    request_hash,
-)
-from .config import ConfigError, LiveConfig, PipelineConfig, load_config
-from .denoise import (
-    DenoiseReport,
-    FactGraph,
-    FusedGraph,
-    ThresholdTable,
-    build_graph,
-    compute_thresholds,
-    denoise,
-    fuse,
-    graph_dump_rows,
-    prune,
-    relabel_corpus,
-)
-from .docio import (
-    CorpusFormatError,
-    ParseError,
-    canonical_dumps,
-    load_corpus,
-    load_docred,
-    load_registry,
-    save_corpus,
-    save_docred,
-)
-from .evaluate import (
-    AggregateResult,
-    EvalResult,
-    EvaluationError,
-    aggregate,
-    aggregate_scores,
-    evaluate_re,
-    evaluate_rte,
-    match_triplet,
-)
-from .generate import (
-    ChainConfig,
-    GenerationError,
-    GenerationRecord,
-    GroundingReport,
-    StepFailure,
-    generate_corpus,
-    run_chain,
-)
-from .model import (
-    Corpus,
-    Document,
-    Entity,
-    EntityKeyError,
-    EntityMention,
-    FactKey,
-    RelationRegistry,
-    RelationType,
-    TripletLabel,
-    ValidationError,
-    fact_keys,
-    normalize_entity_key,
-    validate_corpus,
-    validate_document,
-)
-from .pipeline import (
-    MissingStageError,
-    PipelineRunner,
-    StageError,
-    StageManifest,
-    STAGE_ORDER,
-)
-from .prompts import PromptError, PromptLibrary
-from .pseudo import (
-    FinetunePolicy,
-    FinetuneSample,
-    HttpPredictor,
-    OraclePredictor,
-    PredictorBackend,
-    PredictorError,
-    ProcessPredictor,
-    PseudoLabelError,
-    PseudoLabelSet,
-    RelationGroup,
-    TripletBlockError,
-    assemble_finetune_dataset,
-    format_triplet_block,
-    infer_pseudo_labels,
-    parse_triplet_block,
-    partition_relations,
-)
-from .split import SplitBundle, SplitError, SplitSpec, apply_split, make_replicates, sample_unseen
+from .backends import BackendError, ChatBackend, ChatTranscript, RequestMeta
+from .config import ConfigError, PipelineConfig, load_config
+from .pipeline import STAGE_ORDER, MissingStageError, PipelineRunner, StageError
+from .pseudo import PredictorBackend, PredictorError
 
 __version__ = "0.1.0"
 
+# The command line and the PipelineRunner factory hooks; everything else is
+# imported from its submodule.
 __all__ = [
-    "AggregateResult",
     "BackendError",
-    "CassetteBackend",
     "ChatBackend",
     "ChatTranscript",
-    "ChatTurn",
     "ConfigError",
-    "ChainConfig",
-    "Corpus",
-    "CorpusFormatError",
-    "CountingBackend",
-    "DenoiseReport",
-    "Document",
-    "Entity",
-    "EntityKeyError",
-    "EntityMention",
-    "EvalResult",
-    "EvaluationError",
-    "FactGraph",
-    "FactKey",
-    "FinetunePolicy",
-    "FinetuneSample",
-    "FusedGraph",
-    "GenerationError",
-    "GenerationRecord",
-    "GroundingReport",
-    "HttpPredictor",
-    "LiveChatBackend",
-    "LiveConfig",
     "MissingStageError",
-    "OraclePredictor",
-    "ParseError",
     "PipelineConfig",
     "PipelineRunner",
     "PredictorBackend",
     "PredictorError",
-    "ProcessPredictor",
-    "PromptError",
-    "PromptLibrary",
-    "PseudoLabelError",
-    "PseudoLabelSet",
-    "RelationGroup",
-    "RelationRegistry",
-    "RelationType",
     "RequestMeta",
     "STAGE_ORDER",
-    "ScriptedBackend",
-    "SplitBundle",
-    "SplitError",
-    "SplitSpec",
     "StageError",
-    "StageManifest",
-    "StepFailure",
-    "ThresholdTable",
-    "TranscriptError",
-    "TripletBlockError",
-    "TripletLabel",
-    "ValidationError",
-    "aggregate",
-    "aggregate_scores",
-    "apply_split",
-    "assemble_finetune_dataset",
-    "build_graph",
-    "canonical_dumps",
-    "compute_thresholds",
-    "denoise",
-    "evaluate_re",
-    "evaluate_rte",
-    "fact_keys",
-    "format_triplet_block",
-    "fuse",
-    "generate_corpus",
-    "graph_dump_rows",
-    "infer_pseudo_labels",
     "load_config",
-    "load_corpus",
-    "load_docred",
-    "load_registry",
-    "make_replicates",
-    "match_triplet",
-    "normalize_entity_key",
-    "parse_triplet_block",
-    "partition_relations",
-    "prune",
-    "relabel_corpus",
-    "request_hash",
-    "run_chain",
-    "sample_unseen",
-    "save_corpus",
-    "save_docred",
-    "validate_corpus",
-    "validate_document",
 ]

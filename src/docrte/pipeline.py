@@ -32,7 +32,7 @@ from __future__ import annotations
 import logging
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import reduce
 from pathlib import Path
@@ -79,12 +79,10 @@ from .pseudo import (
     ProcessPredictor,
     PseudoLabelSet,
     RelationGroup,
-    TripletBlockError,
     assemble_finetune_dataset,
     infer_pseudo_labels,
-    parse_triplet_block,
     partition_relations,
-    render_document_text,
+    predict_corpus,
     write_finetune_file,
 )
 from .simulate import chat_script, mock_generation_corpus
@@ -242,29 +240,6 @@ class StageManifest:
     finished_at: str
     error: str | None = None
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "stage": self.stage,
-            "status": self.status,
-            "inputs": dict(sorted(self.inputs.items())),
-            "outputs": dict(sorted(self.outputs.items())),
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "StageManifest":
-        return cls(
-            stage=data["stage"],
-            status=data["status"],
-            inputs=dict(data.get("inputs", {})),
-            outputs=dict(data.get("outputs", {})),
-            started_at=data.get("started_at", ""),
-            finished_at=data.get("finished_at", ""),
-            error=data.get("error"),
-        )
-
 
 @dataclass
 class StageOutcome:
@@ -343,10 +318,10 @@ class PipelineRunner:
         path = self.manifest_path(stage)
         if not path.exists():
             return None
-        return StageManifest.from_json(load_json(path))
+        return StageManifest(**load_json(path))
 
     def _write_manifest(self, manifest: StageManifest) -> None:
-        write_json_atomic(self.manifest_path(manifest.stage), manifest.to_json())
+        write_json_atomic(self.manifest_path(manifest.stage), asdict(manifest))
 
     def _files(self, stage: str, seed: int) -> dict[str, Path]:
         """What ``stage`` reads and writes for one seed, by key."""
@@ -616,15 +591,9 @@ class PipelineRunner:
         spec = load_split_spec(files["spec"])
         synthetic = load_corpus(files["synthetic"], self.registry)
         predictor = self.predictor_factory(self, seed, spec)
-        try:
-            labels = infer_pseudo_labels(
-                predictor, synthetic, sorted(spec.unseen),
-                cfg.instruction, self.registry,
-            )
-        finally:
-            close = getattr(predictor, "close", None)
-            if close:
-                close()
+        labels = infer_pseudo_labels(
+            predictor, synthetic, sorted(spec.unseen), cfg.instruction, self.registry,
+        )
         write_json_atomic(files["pseudo"], labels.to_json())
 
     def _stage_denoise(self, seed: int) -> None:
@@ -671,22 +640,9 @@ class PipelineRunner:
                 resolved[doc_id] = rows
             return resolved
         predictor = self.final_predictor_factory(self, seed, spec, gold, split_name)
-        menu = [self.registry.name_of(r) for r in sorted(spec.unseen)]
-        predictions: dict[str, list[tuple[str, str, str]]] = {}
-        try:
-            for doc in gold.documents:
-                text = render_document_text(doc)
-                try:
-                    block = predictor.predict(cfg.instruction, text, menu)
-                    predictions[doc.doc_id] = parse_triplet_block(block, self.registry)
-                except TripletBlockError as exc:
-                    logger.warning("unusable prediction for %s: %s", doc.doc_id, exc)
-                    predictions[doc.doc_id] = []
-        finally:
-            close = getattr(predictor, "close", None)
-            if close:
-                close()
-        return predictions
+        predictions = predict_corpus(predictor, gold, sorted(spec.unseen),
+                                     cfg.instruction, self.registry)
+        return {doc_id: triplets or [] for doc_id, triplets in predictions.items()}
 
     def _stage_evaluate(self, seed: int) -> dict[str, dict[str, EvalResult]]:
         cfg = self.config

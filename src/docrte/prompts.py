@@ -9,20 +9,6 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-TEMPLATE_NAMES = (
-    "system",
-    "step1_related",
-    "step2_document",
-    "step3_entities",
-    "step4_triplets",
-    "step5_reasons",
-    "step6_support",
-    "step7_structured",
-    "vanilla",
-    "chain_of_thought",
-    "retry",
-)
-
 
 class PromptError(ValueError):
     pass

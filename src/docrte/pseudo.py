@@ -220,7 +220,11 @@ def write_finetune_file(samples: Sequence[FinetuneSample], path: Path | str) -> 
 
 
 class PredictorBackend:
-    """Contract: predict(instruction, document_text, relation_names) -> block text."""
+    """Contract: predict(instruction, document_text, relation_names) -> block text.
+
+    A predictor may also define ``close()``; :func:`predict_corpus` calls it
+    once after the last document of a corpus, even when a prediction failed.
+    """
 
     def predict(
         self, instruction: str, document_text: str, relation_names: Sequence[str]
@@ -288,8 +292,10 @@ class ProcessPredictor(PredictorBackend):
         return "\n".join(lines)
 
     def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
+        """Stop the child, reap it and close both pipes."""
+        if self._proc is not None:
             self._proc.terminate()
+            self._proc.communicate()
 
 
 class HttpPredictor(PredictorBackend):
@@ -327,6 +333,9 @@ class HttpPredictor(PredictorBackend):
         raise PredictorError(
             f"predictor at {self.url} failed after {self.max_attempts} attempts: {last}"
         )
+
+    def close(self) -> None:
+        self.session.close()
 
 
 class OraclePredictor(PredictorBackend):
@@ -421,6 +430,38 @@ class PseudoLabelSet:
         )
 
 
+def predict_corpus(
+    predictor: PredictorBackend,
+    corpus: Corpus,
+    relations: Iterable[str],
+    instruction: str,
+    registry: RelationRegistry,
+    tolerate: tuple[type[Exception], ...] = (TripletBlockError,),
+) -> dict[str, list[tuple[str, str, str]] | None]:
+    """Predict and parse the triplets of every document, then close the predictor.
+
+    The predictor sees the names of ``relations`` as its menu.  A document
+    whose prediction raises one of ``tolerate`` maps to ``None``; any other
+    error propagates.  The predictor's ``close()``, if it has one, runs once
+    either way.
+    """
+    menu = [registry.name_of(r) for r in relations]
+    predictions: dict[str, list[tuple[str, str, str]] | None] = {}
+    try:
+        for doc in corpus.documents:
+            try:
+                raw = predictor.predict(instruction, render_document_text(doc), menu)
+                predictions[doc.doc_id] = parse_triplet_block(raw, registry)
+            except tolerate as exc:
+                logger.warning("no usable prediction for %s: %s", doc.doc_id, exc)
+                predictions[doc.doc_id] = None
+    finally:
+        close = getattr(predictor, "close", None)
+        if close:
+            close()
+    return predictions
+
+
 def infer_pseudo_labels(
     backend: PredictorBackend,
     synthetic: Corpus,
@@ -429,7 +470,7 @@ def infer_pseudo_labels(
     registry: RelationRegistry,
     max_unlabeled_frac: float = 0.5,
 ) -> PseudoLabelSet:
-    """Run the predictor over every synthetic document.
+    """Run the predictor over every synthetic document, then close it.
 
     Predicted relations outside the unseen set are dropped and counted.
     Entity names are normalized here so downstream graph building keys facts
@@ -438,17 +479,13 @@ def infer_pseudo_labels(
     documents aborts the run.
     """
     unseen_set = set(unseen)
-    menu = [registry.name_of(r) for r in sorted(unseen_set)]
+    predictions = predict_corpus(backend, synthetic, sorted(unseen_set), instruction,
+                                 registry, tolerate=(PredictorError, TripletBlockError))
     result = PseudoLabelSet()
-    for doc in synthetic.documents:
-        text = render_document_text(doc)
-        try:
-            raw = backend.predict(instruction, text, menu)
-            triplets = parse_triplet_block(raw, registry)
-        except (PredictorError, TripletBlockError) as exc:
-            logger.warning("no pseudo labels for %s: %s", doc.doc_id, exc)
-            result.unlabeled_docs.append(doc.doc_id)
-            result.by_doc[doc.doc_id] = []
+    for doc_id, triplets in predictions.items():
+        if triplets is None:
+            result.unlabeled_docs.append(doc_id)
+            result.by_doc[doc_id] = []
             continue
         kept: list[tuple[str, str, str]] = []
         for head, tail, relation in triplets:
@@ -461,7 +498,7 @@ def infer_pseudo_labels(
                 )
             except EntityKeyError:
                 result.dropped_out_of_set += 1
-        result.by_doc[doc.doc_id] = kept
+        result.by_doc[doc_id] = kept
     if synthetic.documents:
         frac = len(result.unlabeled_docs) / len(synthetic.documents)
         if frac > max_unlabeled_frac:

@@ -17,6 +17,7 @@ from docrte.pipeline import (
     PipelineRunner,
     StageError,
 )
+from docrte.pseudo import PredictorError
 from docrte.simulate import write_demo_inputs
 
 PIPELINE_CONFIG = {
@@ -295,6 +296,61 @@ class TestResume:
         assert sum(b.calls for b in backends) == 0
         for stage, payload in done_manifests.items():
             assert second.manifest_path(stage).read_bytes() == payload
+
+
+class TestFinalPredictor:
+    def test_predictor_error_fails_evaluate_and_closes_once(self, workspace):
+        predictors = []
+
+        class FailsOnSecondDocument:
+            def __init__(self, inner):
+                self.inner, self.calls, self.closes = inner, 0, 0
+
+            def predict(self, instruction, document_text, relation_names):
+                self.calls += 1
+                if self.calls == 2:
+                    raise PredictorError("model server went away")
+                return self.inner.predict(instruction, document_text, relation_names)
+
+            def close(self):
+                self.closes += 1
+
+        def failing_final(runner, seed, spec, gold, split_name):
+            assert len(gold.documents) >= 2
+            predictor = FailsOnSecondDocument(
+                runner.default_final_predictor(seed, spec, gold, split_name))
+            predictors.append(predictor)
+            return predictor
+
+        runner = make_runner(workspace, final_predictor_factory=failing_final)
+        with pytest.raises(StageError, match="model server went away"):
+            runner.run()
+        assert runner.read_manifest("evaluate").status == "failed"
+        assert [p.closes for p in predictors] == [1]
+
+    def test_unparseable_answer_scores_as_no_predictions(self, workspace):
+        garbled = {}
+
+        class GarblesFirstDocument:
+            def __init__(self, inner):
+                self.inner, self.calls = inner, 0
+
+            def predict(self, instruction, document_text, relation_names):
+                self.calls += 1
+                if self.calls == 1:
+                    return "I could not find any relations here."
+                return self.inner.predict(instruction, document_text, relation_names)
+
+        def garbling_final(runner, seed, spec, gold, split_name):
+            garbled[(seed, split_name)] = gold.documents[0].doc_id
+            return GarblesFirstDocument(
+                runner.default_final_predictor(seed, spec, gold, split_name))
+
+        runner = make_runner(workspace, final_predictor_factory=garbling_final)
+        assert outcome_map(runner.run())["evaluate"] == "ran"
+        for (seed, split_name), doc_id in garbled.items():
+            path = runner.run_dir / "eval" / f"predictions_{split_name}_{seed}.json"
+            assert json.loads(path.read_text())[doc_id] == []
 
 
 class TestLocking:

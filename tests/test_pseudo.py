@@ -206,6 +206,14 @@ class TestProcessPredictor:
         with pytest.raises(PredictorError):
             predictor.predict("inst", "doc", ["employer"])
 
+    def test_close_reaps_child_and_closes_pipes(self):
+        predictor = ProcessPredictor([sys.executable, "-c", ECHO_SERVER])
+        predictor.predict("inst", "first doc", ["employer"])
+        proc = predictor._proc
+        predictor.close()
+        assert proc.returncode is not None
+        assert proc.stdin.closed and proc.stdout.closed
+
 
 @dataclass
 class FakeResponse:
@@ -217,10 +225,14 @@ class FakeResponse:
 class FakeSession:
     responses: list[FakeResponse]
     posts: list[dict] = field(default_factory=list)
+    closes: int = 0
 
     def post(self, url, json=None, timeout=None):
         self.posts.append({"url": url, "json": json})
         return self.responses.pop(0)
+
+    def close(self):
+        self.closes += 1
 
 
 class TestHttpPredictor:
@@ -244,6 +256,11 @@ class TestHttpPredictor:
         with pytest.raises(PredictorError, match="404"):
             predictor.predict("i", "d", ["r"])
         assert len(session.posts) == 1
+
+    def test_close_closes_the_session(self):
+        session = FakeSession([])
+        HttpPredictor("http://m/x", session=session).close()
+        assert session.closes == 1
 
 
 class TestOraclePredictor:
