@@ -11,7 +11,7 @@ import sys
 
 import click
 
-from .config import ConfigError, PipelineConfig, load_config
+from .config import CHAT_BACKENDS, ConfigError, PipelineConfig, load_config
 from .docio import ParseError
 from .model import ValidationError
 from .pipeline import MissingStageError, PipelineRunner, StageError
@@ -60,7 +60,7 @@ def _execute(ctx: click.Context, stages: list[str] | None, force: bool) -> Pipel
               help="Override the run directory from the config.")
 @click.option("--seed", default=None, type=int,
               help="Run a single replicate with this seed instead of the configured list.")
-@click.option("--backend", default=None, type=click.Choice(["live", "cassette", "mock"]),
+@click.option("--backend", default=None, type=click.Choice(CHAT_BACKENDS),
               help="Override the chat transport.")
 @click.option("-v", "--verbose", count=True, help="Increase log verbosity (-v, -vv).")
 @click.pass_context

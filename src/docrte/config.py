@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import difflib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
-from .generate import PROMPT_MODES
+from .generate import ChainConfig
 from .model import ENTITY_TYPES
+from .pseudo import FinetunePolicy
 from .simulate import MockWorldParams
 from .split import MIXED_POLICIES
 
@@ -125,6 +126,10 @@ class PipelineConfig:
 
     mock: MockWorldParams = field(default_factory=MockWorldParams)
 
+    def chain(self) -> ChainConfig:
+        """The generation settings, checked by :class:`ChainConfig`."""
+        return ChainConfig(**{f.name: getattr(self, f.name) for f in fields(ChainConfig)})
+
     def validate(self) -> None:
         missing = [
             name
@@ -141,12 +146,6 @@ class PipelineConfig:
             raise ConfigError(f"replicate seeds must be distinct: {list(self.seeds)}")
         if self.mixed_policy not in MIXED_POLICIES:
             raise ConfigError(f"mixed_policy must be one of {MIXED_POLICIES}")
-        if self.prompt_mode not in PROMPT_MODES:
-            raise ConfigError(f"prompt_mode must be one of {PROMPT_MODES}")
-        for name in ("temperature_step2", "temperature_other"):
-            t = getattr(self, name)
-            if not 0.0 <= t <= 2.0:
-                raise ConfigError(f"{name} must lie in [0, 2], got {t}")
         if self.backend not in CHAT_BACKENDS:
             raise ConfigError(f"backend must be one of {CHAT_BACKENDS}")
         if self.backend == "live" and not (self.live.base_url and self.live.model):
@@ -157,51 +156,53 @@ class PipelineConfig:
             raise ConfigError(f"predictor must be one of {PREDICTORS}")
         if self.final_predictor not in FINAL_PREDICTORS:
             raise ConfigError(f"final_predictor must be one of {FINAL_PREDICTORS}")
-        if self.predictor == "process" and not self.predictor_argv:
-            raise ConfigError("predictor=process requires predictor_argv")
-        if self.predictor == "http" and not self.predictor_url:
-            raise ConfigError("predictor=http requires predictor_url")
-        if self.final_predictor == "process" and not self.final_predictor_argv:
-            raise ConfigError("final_predictor=process requires final_predictor_argv")
-        if self.final_predictor == "http" and not self.final_predictor_url:
-            raise ConfigError("final_predictor=http requires final_predictor_url")
+        for role in ("predictor", "final_predictor"):
+            kind = getattr(self, role)
+            if kind == "process" and not getattr(self, f"{role}_argv"):
+                raise ConfigError(f"{role}=process requires {role}_argv")
+            if kind == "http" and not getattr(self, f"{role}_url"):
+                raise ConfigError(f"{role}=http requires {role}_url")
         if self.final_predictor == "file" and not (self.predictions_dev or self.predictions_test):
             raise ConfigError(
                 "final_predictor=file requires predictions_dev and/or predictions_test"
             )
-        if not 0.0 <= self.keep_empty_prob <= 1.0:
-            raise ConfigError("keep_empty_prob must lie in [0, 1]")
-        for name in ("n_related", "docs_per_relation", "group_size", "parallelism"):
+        for name in ("group_size", "parallelism"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be non-negative")
+        try:
+            self.chain()
+            FinetunePolicy(self.instruction, self.keep_empty_prob)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config value: {exc}") from exc
 
     def to_json(self) -> dict[str, Any]:
-        def plain(value: Any) -> Any:
-            if isinstance(value, tuple):
-                return list(value)
-            if isinstance(value, (LiveConfig, MockWorldParams)):
-                return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
-            return value
-
-        return {f.name: plain(getattr(self, f.name)) for f in fields(PipelineConfig)}
+        return asdict(self, dict_factory=lambda items: {
+            name: list(value) if isinstance(value, tuple) else value for name, value in items})
 
 
-def _coerce_section(section_cls, data: dict[str, Any], context: str):
-    allowed = {f.name for f in fields(section_cls)}
+# the config keys whose value is a section, and the section's class
+_SECTIONS = {"live": LiveConfig, "mock": MockWorldParams}
+
+
+def _from_dict(cls, data: Any, context: str):
+    """Build ``cls`` from a JSON object, naming unknown keys with a hint."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    allowed = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigError(_unknown_keys_message(unknown, allowed, context))
     kwargs = {}
-    for f in fields(section_cls):
-        if f.name in data:
-            value = data[f.name]
-            kwargs[f.name] = tuple(value) if isinstance(value, list) else value
+    for name, value in data.items():
+        if name in _SECTIONS:
+            value = _from_dict(_SECTIONS[name], value, name)
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[name] = value
     try:
-        return section_cls(**kwargs)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {context} section: {exc}") from exc
+        raise ConfigError(f"bad {context} value: {exc}") from exc
 
 
 def _unknown_keys_message(unknown: list[str], allowed: set[str], context: str) -> str:
@@ -219,28 +220,7 @@ _PATH_FIELDS = (
 
 
 def config_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> PipelineConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    allowed = {f.name for f in fields(PipelineConfig)}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigError(_unknown_keys_message(unknown, allowed, "config"))
-    kwargs: dict[str, Any] = {}
-    for f in fields(PipelineConfig):
-        if f.name not in data:
-            continue
-        value = data[f.name]
-        if f.name == "live":
-            value = _coerce_section(LiveConfig, value, "live")
-        elif f.name == "mock":
-            value = _coerce_section(MockWorldParams, value, "mock")
-        elif isinstance(value, list):
-            value = tuple(value)
-        kwargs[f.name] = value
-    try:
-        config = PipelineConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    config = _from_dict(PipelineConfig, data, "config")
     if base_dir is not None:
         for name in _PATH_FIELDS:
             value = getattr(config, name)
@@ -251,7 +231,10 @@ def config_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Pipe
                 # templated paths resolve their directory part lazily per seed
                 if not Path(value).is_absolute():
                     setattr(config, name, str(base_dir / value))
-    config.validate()
+    try:
+        config.validate()
+    except TypeError as exc:  # a value of the wrong JSON type met a check
+        raise ConfigError(f"bad config value: {exc}") from exc
     return config
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Mapping, Set
 
 from .model import Corpus, Document, FactKey, TripletLabel, fact_keys
@@ -57,9 +57,6 @@ class FusedGraph:
     """Additively fused consistency scores over the union of both graphs."""
 
     scores: dict[FactKey, int]
-
-    def relations(self) -> list[str]:
-        return sorted({fact.relation for fact in self.scores})
 
 
 def fuse(kg_s: FactGraph, kg_p: FactGraph) -> FusedGraph:
@@ -152,13 +149,7 @@ class DenoiseReport:
     counts: dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "pruned": self.pruned,
-            "added": {k: v for k, v in sorted(self.added.items())},
-            "removed": {k: v for k, v in sorted(self.removed.items())},
-            "dropped_docs": sorted(self.dropped_docs),
-            "counts": dict(sorted(self.counts.items())),
-        }
+        return {**asdict(self), "dropped_docs": sorted(self.dropped_docs)}
 
 
 def _fact_json(fact: FactKey) -> dict[str, str]:

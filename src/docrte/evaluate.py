@@ -11,7 +11,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .docio import load_json, write_json_atomic
 from .model import Corpus, Document, EntityKeyError, TripletLabel, normalize_entity_key
@@ -28,10 +28,6 @@ class RelationScore:
     f1: float
     support: int
 
-    def to_json(self) -> dict[str, Any]:
-        return {"precision": self.precision, "recall": self.recall,
-                "f1": self.f1, "support": self.support}
-
 
 @dataclass
 class EvalResult:
@@ -42,17 +38,6 @@ class EvalResult:
     fp: int
     fn: int
     per_relation: dict[str, RelationScore] = field(default_factory=dict)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "per_relation": {r: s.to_json() for r, s in sorted(self.per_relation.items())},
-        }
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:

@@ -22,7 +22,7 @@ import json
 import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Sequence
 
 from .backends import BackendError, ChatBackend, ChatTranscript, RequestMeta
@@ -98,15 +98,6 @@ class GroundingReport:
     unmatched_support: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "ungrounded_entities": self.ungrounded_entities,
-            "dropped_entities": self.dropped_entities,
-            "dropped_triplets": self.dropped_triplets,
-            "unmatched_support": self.unmatched_support,
-            "notes": self.notes,
-        }
-
 
 @dataclass
 class GenerationRecord:
@@ -133,7 +124,7 @@ class GenerationRecord:
             "transcript": self.transcript.messages(),
             "accepted_turn_indices": list(self.accepted_turn_indices),
             "document": self.document.doc_id if self.document else None,
-            "grounding": self.grounding.to_json(),
+            "grounding": asdict(self.grounding),
             "failure": self.failure,
         }
 

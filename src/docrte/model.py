@@ -196,6 +196,11 @@ class Document:
             out.setdefault(ent.key, i)
         return out
 
+    def name_triplets(self) -> list[tuple[str, str, str]]:
+        """(head name, tail name, relation id) of each label, in label order."""
+        return [(self.entities[lb.head].canonical_name, self.entities[lb.tail].canonical_name,
+                 lb.relation) for lb in self.labels]
+
 
 @dataclass
 class Corpus:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import logging
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import reduce
 from pathlib import Path
@@ -109,6 +109,8 @@ def _stale(stage: str, changed: Sequence[str], consumer: str) -> MissingStageErr
 # The fields of the ``mock`` config section that mock_generation_corpus reads.
 MOCK_WORLD = ("mock.facts_per_relation", "mock.facts_per_doc", "mock.label_drop_prob",
               "mock.spurious_prob", "mock.world_seed")
+# The chat model that answers a live run or records a cassette.
+LIVE_MODEL = ("live.base_url", "live.model")
 
 
 def _registry_source(cfg: PipelineConfig) -> dict[str, Path]:
@@ -196,9 +198,9 @@ STAGES: dict[str, Stage] = {stage.name: stage for stage in (
     Stage("generate", reads={"split": ("spec",)},
           writes={"synthetic": "generate/synthetic_{seed}.json",
                   "records": "generate/records_{seed}.json"},
-          params=("n_related", "docs_per_relation", "temperature_step2", "temperature_other",
-                  "max_retries", "prompt_mode", "entity_types", "backend"),
-          params_when={("backend", "mock"): MOCK_WORLD},
+          params=tuple(f.name for f in fields(ChainConfig)) + ("backend",),
+          params_when={("backend", "mock"): MOCK_WORLD, ("backend", "live"): LIVE_MODEL,
+                       ("backend", "cassette"): LIVE_MODEL},
           sources=_generate_sources),
     Stage("finetune-data", reads={"split": ("spec", "train")},
           writes={"samples": "finetune/pretrain_{seed}.jsonl"},
@@ -207,7 +209,9 @@ STAGES: dict[str, Stage] = {stage.name: stage for stage in (
           writes={"pseudo": "pseudo/pseudo_{seed}.json"},
           params=("predictor", "instruction"),
           params_when={("predictor", "mock"): MOCK_WORLD + (
-              "mock.pseudo_drop_prob", "docs_per_relation", "n_related")}),
+                           "mock.pseudo_drop_prob", "docs_per_relation", "n_related"),
+                       ("predictor", "process"): ("predictor_argv",),
+                       ("predictor", "http"): ("predictor_url",)}),
     Stage("denoise",
           reads={"generate": ("synthetic",), "pseudo-label": ("pseudo",), "split": ("spec",)},
           writes={key: f"denoise/{key}_{{seed}}.json" for key in ("denoised", "kg", "report")}),
@@ -222,6 +226,8 @@ STAGES: dict[str, Stage] = {stage.name: stage for stage in (
                   "predictions_test": "eval/predictions_test_{seed}.json"},
           params=("final_predictor", "strict_seen", "instruction", "m", "mixed_policy"),
           params_when={("final_predictor", "mock"): ("mock.final_drop_prob",),
+                       ("final_predictor", "process"): ("final_predictor_argv",),
+                       ("final_predictor", "http"): ("final_predictor_url",),
                        ("final_predictor", "file"): ("predictions_dev", "predictions_test")},
           sources=_evaluate_sources,
           finish="_write_report", finish_writes=("report.json", "report.txt")),
@@ -502,40 +508,32 @@ class PipelineRunner:
             rate_limiter=limiter,
         )
 
+    def _predictor(self, role: str, oracle: Callable[[], PredictorBackend]) -> PredictorBackend:
+        """The extractor that config field ``role`` (``predictor`` or
+        ``final_predictor``) selects; ``oracle`` builds the mock one."""
+        kind = getattr(self.config, role)
+        if kind == "mock":
+            return oracle()
+        if kind == "process":
+            return ProcessPredictor(list(getattr(self.config, f"{role}_argv")))
+        if kind == "http":
+            return HttpPredictor(getattr(self.config, f"{role}_url"))
+        raise StageError(f"{role} is {kind!r}; configure another {role} to run this stage")
+
     def default_pseudo_predictor(self, seed: int, spec: SplitSpec) -> PredictorBackend:
-        cfg = self.config
-        if cfg.predictor == "mock":
+        def oracle() -> PredictorBackend:
             _, truth, _ = self._mock_world(seed, spec)
-            return OraclePredictor(
-                truth, self.registry,
-                drop_prob=cfg.mock.pseudo_drop_prob,
-                seed=seed,
-                restrict_to=sorted(spec.unseen),
-            )
-        if cfg.predictor == "process":
-            return ProcessPredictor(list(cfg.predictor_argv))
-        if cfg.predictor == "http":
-            return HttpPredictor(cfg.predictor_url)
-        raise StageError(
-            "predictor is 'none'; configure mock, process, or http to run pseudo-label"
-        )
+            return OraclePredictor(truth, self.registry,
+                                   drop_prob=self.config.mock.pseudo_drop_prob,
+                                   seed=seed, restrict_to=sorted(spec.unseen))
+
+        return self._predictor("predictor", oracle)
 
     def default_final_predictor(self, seed: int, spec: SplitSpec, gold: Corpus,
                                 split_name: str) -> PredictorBackend:
-        cfg = self.config
-        if cfg.final_predictor == "mock":
-            return OraclePredictor(
-                gold, self.registry,
-                drop_prob=cfg.mock.final_drop_prob,
-                seed=seed * 2 + (0 if split_name == "dev" else 1),
-            )
-        if cfg.final_predictor == "process":
-            return ProcessPredictor(list(cfg.final_predictor_argv))
-        if cfg.final_predictor == "http":
-            return HttpPredictor(cfg.final_predictor_url)
-        raise StageError(
-            "final_predictor is 'none'; configure mock, process, http, or file to evaluate"
-        )
+        return self._predictor("final_predictor", lambda: OraclePredictor(
+            gold, self.registry, drop_prob=self.config.mock.final_drop_prob,
+            seed=seed * 2 + (0 if split_name == "dev" else 1)))
 
     # -- stages ---------------------------------------------------------------
 
@@ -555,20 +553,11 @@ class PipelineRunner:
 
     def _stage_generate(self, seed: int) -> None:
         cfg = self.config
-        chain_config = ChainConfig(
-            n_related=cfg.n_related,
-            docs_per_relation=cfg.docs_per_relation,
-            temperature_step2=cfg.temperature_step2,
-            temperature_other=cfg.temperature_other,
-            max_retries=cfg.max_retries,
-            prompt_mode=cfg.prompt_mode,
-            entity_types=cfg.entity_types,
-        )
         files = self._files("generate", seed)
         spec = load_split_spec(files["spec"])
         backend = self.chat_backend_factory(self, seed, spec)
         corpus, records = generate_corpus(
-            backend, sorted(spec.unseen), self.registry, chain_config,
+            backend, sorted(spec.unseen), self.registry, cfg.chain(),
             prompts=PromptLibrary(cfg.templates_dir), parallelism=cfg.parallelism,
         )
         save_corpus(corpus, files["synthetic"])
@@ -660,7 +649,7 @@ class PipelineRunner:
             write_json_atomic(
                 files[f"scores_{split_name}"],
                 {"seed": seed, "split": split_name,
-                 "rte": rte.to_json(), "re": re.to_json()},
+                 "rte": asdict(rte), "re": asdict(re)},
             )
         return results
 
@@ -718,8 +707,7 @@ def build_report(
     }
     for seed in seeds:
         report["per_seed"][str(seed)] = {
-            split_name: {kind: result.to_json()
-                         for kind, result in sorted(kinds.items())}
+            split_name: {kind: asdict(result) for kind, result in kinds.items()}
             for split_name, kinds in sorted(per_seed[seed].items())
         }
     for split_name in ("dev", "test"):

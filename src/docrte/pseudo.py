@@ -183,14 +183,9 @@ def assemble_finetune_dataset(
     samples: list[FinetuneSample] = []
     for doc in corpus.documents:
         text = render_document_text(doc)
+        named = doc.name_triplets()
         for group in groups:
-            in_group = [lb for lb in doc.labels if lb.relation in group.relations]
-            triplets = [
-                (doc.entities[lb.head].canonical_name,
-                 doc.entities[lb.tail].canonical_name,
-                 lb.relation)
-                for lb in in_group
-            ]
+            triplets = [t for t in named if t[2] in group.relations]
             target = format_triplet_block(triplets, registry)
             if not target and rng.random() >= policy.keep_empty_prob:
                 continue
@@ -358,14 +353,8 @@ class OraclePredictor(PredictorBackend):
         allowed = set(restrict_to) if restrict_to is not None else None
         self._by_title: dict[str, list[tuple[str, str, str]]] = {}
         for doc in corpus.documents:
-            triplets = [
-                (doc.entities[lb.head].canonical_name,
-                 doc.entities[lb.tail].canonical_name,
-                 lb.relation)
-                for lb in doc.labels
-                if allowed is None or lb.relation in allowed
-            ]
-            self._by_title[doc.title] = triplets
+            self._by_title[doc.title] = [t for t in doc.name_triplets()
+                                         if allowed is None or t[2] in allowed]
 
     def predict(self, instruction, document_text, relation_names):
         title = document_text.splitlines()[0] if document_text else ""

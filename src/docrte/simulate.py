@@ -337,12 +337,7 @@ def chat_script(world: SimWorld, corpus: Corpus) -> dict[tuple, str]:
     for doc in corpus.documents:
         rel, k = _doc_index(doc.doc_id)
         sent_strings = [" ".join(tokens) for tokens in doc.sentences]
-        triplets = [
-            (doc.entities[lb.head].canonical_name,
-             doc.entities[lb.tail].canonical_name,
-             lb.relation)
-            for lb in doc.labels
-        ]
+        triplets = doc.name_triplets()
         related_names = [registry.name_of(r) for r in world.related.get(rel, ())]
         if not related_names:
             related_names = [r.name for r in registry if r.id != rel][:3]

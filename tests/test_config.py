@@ -94,9 +94,18 @@ class TestValidation:
         ({"temperature_step2": -0.1}, r"\[0, 2\]"),
         ({"max_retries": -1}, "max_retries"),
         ({"group_size": 0}, "positive"),
+        ({"live": 5}, "live must be a JSON object"),
+        ({"mock": ["x"]}, "mock must be a JSON object"),
+        ({"entity_types": 5}, "bad config value"),
+        ({"temperature_other": "hot"}, "bad config value"),
     ])
     def test_invalid_values_rejected(self, patch, fragment):
         with pytest.raises(ConfigError, match=fragment):
+            config_from_dict(minimal(**patch), base_dir=Path("/tmp"))
+
+    @pytest.mark.parametrize("patch", [{"m": "5"}, {"seeds": 5}, {"group_size": None}])
+    def test_wrong_type_rejected(self, patch):
+        with pytest.raises(ConfigError, match="bad config value"):
             config_from_dict(minimal(**patch), base_dir=Path("/tmp"))
 
     def test_live_backend_requires_endpoint(self):

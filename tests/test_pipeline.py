@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,8 @@ from click.testing import CliRunner
 
 from docrte.backends import CassetteBackend, CountingBackend
 from docrte.cli import main
-from docrte.config import load_config
+from docrte.config import PipelineConfig, load_config
+from docrte.docio import load_corpus
 from docrte.pipeline import (
     STAGE_ORDER,
     STAGES,
@@ -17,7 +19,7 @@ from docrte.pipeline import (
     PipelineRunner,
     StageError,
 )
-from docrte.pseudo import PredictorError
+from docrte.pseudo import OraclePredictor, PredictorError
 from docrte.simulate import write_demo_inputs
 
 PIPELINE_CONFIG = {
@@ -50,6 +52,29 @@ def outcome_map(outcomes):
     return {o.stage: o.status for o in outcomes}
 
 
+def outcomes_after_change(config_path, before, after, **factories):
+    """Run with ``before`` applied to PIPELINE_CONFIG, then run with ``after``
+    and return the second run's stage outcomes."""
+    outcomes = {}
+    for change in (before, after):
+        config_path.write_text(json.dumps(dict(PIPELINE_CONFIG, **change)), encoding="utf-8")
+        outcomes = outcome_map(make_runner(config_path, **factories).run())
+    return outcomes
+
+
+def ran(outcomes):
+    return [stage for stage, status in outcomes.items() if status == "ran"]
+
+
+# Config fields that are no stage's params: source files, whose digests are
+# stage inputs, and settings no output depends on.
+INERT_FIELDS = {
+    "registry", "train_docs", "dev_docs", "test_docs", "templates_dir", "cassette_path",
+    "seeds", "run_dir", "parallelism", "cassette_mode", "live.api_key_env", "live.timeout",
+    "live.max_attempts", "live.rate_per_sec", "live.burst",
+}
+
+
 def run_tree_bytes(run_dir, exclude=("manifests", "effective_config.json", ".lock")):
     snapshot = {}
     for path in sorted(Path(run_dir).rglob("*")):
@@ -69,6 +94,19 @@ class TestStageGraph:
                 assert set(keys) <= set(STAGES[dep].writes), (name, dep)
             # a stage's files are looked up by key, so read and written keys differ
             assert not set(stage.inputs(1)) & set(stage.writes), name
+
+    def test_every_config_field_is_a_param_or_declared_inert(self):
+        config = PipelineConfig()
+        names = set()
+        for f in fields(config):
+            value = getattr(config, f.name)
+            names |= ({f"{f.name}.{g.name}" for g in fields(value)} if is_dataclass(value)
+                      else {f.name})
+        params = set()
+        for stage in STAGES.values():
+            params.update(stage.params, *stage.params_when.values())
+        assert not params & INERT_FIELDS
+        assert names == params | INERT_FIELDS
 
 
 class TestFullRun:
@@ -240,6 +278,39 @@ class TestResume:
         assert outcome_map(make_runner(workspace).run(["generate"])) == {"generate": "ran"}
         assert run_tree_bytes(runner.run_dir / "generate") == recorded
 
+    def test_extractor_argv_change_reruns_pseudo_label(self, workspace):
+        def extractor(runner, seed, spec):
+            synthetic = load_corpus(runner.path(f"generate/synthetic_{seed}.json"),
+                                    runner.registry)
+            return OraclePredictor(synthetic, runner.registry)
+
+        outcomes = outcomes_after_change(
+            workspace, {"predictor": "process", "predictor_argv": ["extract", "--v1"]},
+            {"predictor": "process", "predictor_argv": ["extract", "--v2"]},
+            predictor_factory=extractor)
+        assert ran(outcomes) == ["pseudo-label"]
+
+    def test_final_extractor_url_change_reruns_evaluate_only(self, workspace):
+        def extractor(runner, seed, spec, gold, split_name):
+            return OraclePredictor(gold, runner.registry)
+
+        outcomes = outcomes_after_change(
+            workspace, {"final_predictor": "http", "final_predictor_url": "http://localhost:1/a"},
+            {"final_predictor": "http", "final_predictor_url": "http://localhost:1/b"},
+            final_predictor_factory=extractor)
+        assert ran(outcomes) == ["evaluate"]
+
+    def test_live_model_change_reruns_generate(self, workspace):
+        def scripted(runner, seed, spec):
+            mock = PipelineRunner(replace(runner.config, backend="mock"))
+            return mock.default_chat_backend(seed, spec)
+
+        live = {"backend": "live", "live": {"base_url": "http://localhost:1/v1", "model": "a"}}
+        outcomes = outcomes_after_change(
+            workspace, live, dict(live, live={"base_url": "http://localhost:1/v1", "model": "b"}),
+            chat_backend_factory=scripted)
+        assert ran(outcomes) == ["generate"]
+
     def test_tampered_upstream_output_refuses_single_stage(self, workspace):
         runner = make_runner(workspace)
         runner.run()
@@ -404,6 +475,13 @@ class TestCli:
         result = CliRunner().invoke(main, ["--config", str(workspace), "split"])
         assert result.exit_code == 1
         assert "m must be positive" in result.stderr
+
+    def test_non_object_section_exits_1(self, workspace):
+        workspace.write_text(json.dumps(dict(PIPELINE_CONFIG, live=5)), encoding="utf-8")
+        result = CliRunner().invoke(main, ["--config", str(workspace), "split"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in result.stderr
 
     def test_run_all_prints_report(self, workspace):
         result = CliRunner().invoke(main, ["--config", str(workspace), "run-all"])
