@@ -82,6 +82,12 @@ class LiveConfig:
     rate_per_sec: float = 0.0  # 0 disables rate limiting
     burst: int = 1
 
+    def __post_init__(self) -> None:
+        if self.timeout <= 0 or self.rate_per_sec < 0:
+            raise ValueError("timeout must be positive and rate_per_sec non-negative")
+        if self.max_attempts < 1 or self.burst < 1:
+            raise ValueError("max_attempts and burst must be at least 1")
+
 
 @dataclass
 class PipelineConfig:
@@ -182,18 +188,26 @@ class PipelineConfig:
 
 # the config keys whose value is a section, and the section's class
 _SECTIONS = {"live": LiveConfig, "mock": MockWorldParams}
+# JSON types accepted for a field annotated with a scalar type
+_SCALARS = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
 
 def _from_dict(cls, data: Any, context: str):
-    """Build ``cls`` from a JSON object, naming unknown keys with a hint."""
+    """Build ``cls`` from a JSON object, naming unknown keys with a hint and
+    rejecting a value whose JSON type does not fit a scalar field."""
     if not isinstance(data, dict):
         raise ConfigError(f"{context} must be a JSON object")
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - allowed)
+    kinds = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(data) - set(kinds))
     if unknown:
-        raise ConfigError(_unknown_keys_message(unknown, allowed, context))
+        raise ConfigError(_unknown_keys_message(unknown, set(kinds), context))
     kwargs = {}
     for name, value in data.items():
+        kind = kinds[name]
+        if kind in _SCALARS and (not isinstance(value, _SCALARS[kind])
+                                 or isinstance(value, bool) != (kind == "bool")):
+            raise ConfigError(f"bad {context} value: {name} must be of type {kind}, "
+                              f"got {value!r}")
         if name in _SECTIONS:
             value = _from_dict(_SECTIONS[name], value, name)
         elif isinstance(value, list):

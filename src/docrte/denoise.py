@@ -191,7 +191,9 @@ def relabel_corpus(
                 row["eta"] = None if eta == NO_THRESHOLD else eta
             report.pruned.append(row)
 
-    kept_sorted = sorted(kept, key=FactKey.sort_key)
+    kept_by_head: dict[str, list[FactKey]] = {}
+    for fact in kept:
+        kept_by_head.setdefault(fact.head_key, []).append(fact)
     new_docs: list[Document] = []
     for doc in synthetic.documents:
         key_to_index = doc.key_to_index()
@@ -210,14 +212,11 @@ def relabel_corpus(
                         "relation": label.relation,
                     }
                 )
+        candidates = [fact for key in key_to_index for fact in kept_by_head.get(key, ())
+                      if fact.tail_key in key_to_index and fact not in present]
         added: list[TripletLabel] = []
-        for fact in kept_sorted:
-            if fact in present:
-                continue
-            h = key_to_index.get(fact.head_key)
-            t = key_to_index.get(fact.tail_key)
-            if h is None or t is None or h == t:
-                continue
+        for fact in sorted(candidates, key=FactKey.sort_key):
+            h, t = key_to_index[fact.head_key], key_to_index[fact.tail_key]
             evidence = sorted(
                 doc.entities[h].sentence_ids() & doc.entities[t].sentence_ids()
             )

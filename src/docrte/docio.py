@@ -1,8 +1,11 @@
 """Serialization: canonical JSON, the corpus container format, and converters.
 
-Every artifact the pipeline writes goes through :func:`canonical_dumps` +
-:func:`write_text_atomic`, which is what makes reruns byte-identical and lets
-stage digests double as change detection.
+Every JSON artifact the pipeline writes goes through :func:`canonical_dumps`
++ :func:`write_text_atomic`, which is what makes reruns byte-identical and
+lets stage digests double as change detection.  Bulk artifacts (corpora,
+generation records, pseudo labels, fact-graph dumps, predictions) are written
+compact, one line; small human-facing files (manifests, split specs, reports,
+the effective config) keep ``indent=2``.
 """
 from __future__ import annotations
 
@@ -39,9 +42,15 @@ class CorpusFormatError(ParseError):
 # canonical JSON plumbing
 
 
-def canonical_dumps(obj: Any) -> str:
-    """Serialize to deterministic JSON: sorted keys, stable separators, newline."""
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def canonical_dumps(obj: Any, compact: bool = False) -> str:
+    """Serialize to deterministic JSON: sorted keys, stable separators, newline.
+
+    ``compact`` gives one line with ``(",", ":")`` separators.  Any ``indent``
+    makes ``json`` fall back from its C encoder to the pure-Python one, so
+    bulk artifacts are written compact; parsed, both layouts are equal.
+    """
+    layout: dict[str, Any] = {"separators": (",", ":")} if compact else {"indent": 2}
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True, allow_nan=False, **layout) + "\n"
 
 
 def write_text_atomic(path: Path | str, text: str) -> None:
@@ -61,8 +70,8 @@ def write_text_atomic(path: Path | str, text: str) -> None:
         raise
 
 
-def write_json_atomic(path: Path | str, obj: Any) -> None:
-    write_text_atomic(path, canonical_dumps(obj))
+def write_json_atomic(path: Path | str, obj: Any, compact: bool = False) -> None:
+    write_text_atomic(path, canonical_dumps(obj, compact))
 
 
 def load_json(path: Path | str) -> Any:
@@ -202,7 +211,7 @@ def corpus_to_json(corpus: Corpus) -> dict[str, Any]:
 
 
 def save_corpus(corpus: Corpus, path: Path | str) -> None:
-    write_json_atomic(path, corpus_to_json(corpus))
+    write_json_atomic(path, corpus_to_json(corpus), compact=True)
 
 
 def load_corpus(path: Path | str, registry: RelationRegistry | None = None) -> Corpus:
@@ -313,4 +322,4 @@ def save_docred(corpus: Corpus, path: Path | str) -> None:
                 ],
             }
         )
-    write_json_atomic(path, rows)
+    write_json_atomic(path, rows, compact=True)

@@ -9,6 +9,7 @@ absorb at most one prediction.
 from __future__ import annotations
 
 import statistics
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -48,26 +49,34 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return p, r, f1
 
 
-def _gold_name_keys(doc: Document, entity_index: int) -> set[str]:
-    """Normalized names a prediction may use for this entity: canonical + mentions."""
-    ent = doc.entities[entity_index]
-    keys = {ent.key}
-    for m in ent.mentions:
-        try:
-            keys.add(normalize_entity_key(m.name))
-        except EntityKeyError:
-            pass
+def _gold_name_keys(doc: Document, entity_index: int, cache: dict[int, set[str]]) -> set[str]:
+    """Normalized names a prediction may use for this entity: canonical +
+    mentions, computed on first use and kept in ``cache``."""
+    keys = cache.get(entity_index)
+    if keys is None:
+        ent = doc.entities[entity_index]
+        keys = {ent.key}
+        for m in ent.mentions:
+            try:
+                keys.add(normalize_entity_key(m.name))
+            except EntityKeyError:
+                pass
+        cache[entity_index] = keys
     return keys
 
 
 def match_triplet(
-    pred: tuple[str, str, str], doc: Document, exclude: set[int] | None = None
+    pred: tuple[str, str, str],
+    doc: Document,
+    exclude: set[int] | None = None,
+    name_keys: dict[int, set[str]] | None = None,
 ) -> int | None:
     """Index of the first gold label matching an RTE prediction, else None.
 
     A prediction (head text, tail text, relation id) matches a gold label
     when the relation id is equal and each predicted name normalizes to the
-    gold entity's canonical name or any of its mention names.
+    gold entity's canonical name or any of its mention names.  ``name_keys``
+    caches those names per entity index across calls on the same document.
     """
     head_text, tail_text, relation = pred
     try:
@@ -76,11 +85,12 @@ def match_triplet(
     except EntityKeyError:
         return None
     exclude = exclude or set()
+    cache = {} if name_keys is None else name_keys
     for i, label in enumerate(doc.labels):
         if i in exclude or label.relation != relation:
             continue
-        if head_key in _gold_name_keys(doc, label.head) and \
-                tail_key in _gold_name_keys(doc, label.tail):
+        if head_key in _gold_name_keys(doc, label.head, cache) and \
+                tail_key in _gold_name_keys(doc, label.tail, cache):
             return i
     return None
 
@@ -153,7 +163,9 @@ def evaluate_rte(
     relations are ignored by default; with ``strict_seen`` they count as
     false positives.
     """
-    return _evaluate(predictions, gold, set(unseen), strict_seen, match_triplet)
+    names: defaultdict[str, dict[int, set[str]]] = defaultdict(dict)  # doc id -> entity -> keys
+    return _evaluate(predictions, gold, set(unseen), strict_seen,
+                     lambda pred, doc, exclude: match_triplet(pred, doc, exclude, names[doc.doc_id]))
 
 
 def _match_re(pred: tuple[int, int, str], doc: Document, exclude: set[int]) -> int | None:
@@ -237,4 +249,5 @@ def save_predictions(
             doc_id: [{"head": h, "tail": t, "relation": r} for h, t, r in rows]
             for doc_id, rows in sorted(predictions.items())
         },
+        compact=True,
     )

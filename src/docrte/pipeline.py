@@ -561,7 +561,7 @@ class PipelineRunner:
             prompts=PromptLibrary(cfg.templates_dir), parallelism=cfg.parallelism,
         )
         save_corpus(corpus, files["synthetic"])
-        write_json_atomic(files["records"], [r.to_json() for r in records])
+        write_json_atomic(files["records"], [r.to_json() for r in records], compact=True)
 
     def _stage_finetune_data(self, seed: int) -> None:
         cfg = self.config
@@ -583,7 +583,7 @@ class PipelineRunner:
         labels = infer_pseudo_labels(
             predictor, synthetic, sorted(spec.unseen), cfg.instruction, self.registry,
         )
-        write_json_atomic(files["pseudo"], labels.to_json())
+        write_json_atomic(files["pseudo"], labels.to_json(), compact=True)
 
     def _stage_denoise(self, seed: int) -> None:
         files = self._files("denoise", seed)
@@ -592,7 +592,7 @@ class PipelineRunner:
         pseudo = PseudoLabelSet.from_json(load_json(files["pseudo"]))
         denoised, report, rows = denoise(synthetic, pseudo.fact_sets(), sorted(spec.unseen))
         save_corpus(denoised, files["denoised"])
-        write_json_atomic(files["kg"], rows)
+        write_json_atomic(files["kg"], rows, compact=True)
         write_json_atomic(files["report"], report.to_json())
 
     def _stage_finetune_data_denoised(self, seed: int) -> None:

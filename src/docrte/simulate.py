@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -101,6 +102,15 @@ class SimWorld:
 
     def all_facts(self) -> list[FactKey]:
         return sorted(self.facts, key=FactKey.sort_key)
+
+    @cached_property
+    def facts_by_head(self) -> dict[str, list[FactKey]]:
+        """World facts grouped by head key, built on first use (``facts``
+        is not changed after :func:`build_world`)."""
+        index: dict[str, list[FactKey]] = {}
+        for fact in self.facts:
+            index.setdefault(fact.head_key, []).append(fact)
+        return index
 
 
 class _EntityMint:
@@ -213,11 +223,11 @@ def _doc_from_facts(
         mentions = ground_entity_mentions(ent.name, sentences, ent.etype)
         doc_entities.append(Entity(canonical_name=ent.name, mentions=mentions))
     index_of = {ent.key: i for i, ent in enumerate(doc_entities)}
+    closure = [fact for key in index_of for fact in world.facts_by_head.get(key, ())
+               if fact.tail_key in index_of]
     labels = []
-    for fact in world.all_facts():
-        h, t = index_of.get(fact.head_key), index_of.get(fact.tail_key)
-        if h is None or t is None:
-            continue
+    for fact in sorted(closure, key=FactKey.sort_key):
+        h, t = index_of[fact.head_key], index_of[fact.tail_key]
         evidence = sorted(
             doc_entities[h].sentence_ids() & doc_entities[t].sentence_ids()
         )
@@ -250,8 +260,10 @@ def world_documents(
         ]
         for k in range(docs_per_relation):
             rng = random.Random(f"doc:{seed}:{rel}:{k}")
-            chosen = [own[k % len(own)]]
-            candidates = [f for f in extras_pool if f not in chosen]
+            # the pool starts with ``own`` and holds each fact once
+            j = k % len(own)
+            chosen = [own[j]]
+            candidates = extras_pool[:j] + extras_pool[j + 1:]
             n_extra = min(max(facts_per_doc - 1, 0), len(candidates))
             chosen += rng.sample(candidates, n_extra)
             doc_id = f"{id_prefix}{rel}-{k:02d}"
@@ -390,6 +402,14 @@ class MockWorldParams:
     pseudo_drop_prob: float = 0.2
     final_drop_prob: float = 0.25
     world_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.facts_per_relation < 1 or self.facts_per_doc < 1:
+            raise ValueError("facts_per_relation and facts_per_doc must be at least 1")
+        for name in ("label_drop_prob", "spurious_prob", "pseudo_drop_prob", "final_drop_prob"):
+            p = getattr(self, name)
+            if not 0.0 <= p < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {p}")
 
 
 def mock_generation_corpus(

@@ -1,0 +1,59 @@
+"""Micro benchmarks for the mock world, relabeling and bulk JSON writes.
+
+Each layer runs at two sizes; the larger one has four times the documents
+and four times the world facts, so near-linear code takes about four times
+as long and a per-document scan of every fact about sixteen times.
+
+Not collected by the default test run (its file name does not match
+``test_*.py``).  Run it on its own::
+
+    PYTHONPATH=src python -m pytest tests/bench_layers.py
+"""
+from __future__ import annotations
+
+import pytest
+
+from docrte.denoise import relabel_corpus
+from docrte.docio import save_corpus
+from docrte.model import fact_keys
+from docrte.simulate import build_world, synthetic_registry, world_documents
+
+UNSEEN = 10
+# size -> (world facts per relation, documents per unseen relation)
+SIZES = {"small": (20, 20), "large": (80, 80)}
+
+
+@pytest.fixture(scope="module", params=list(SIZES))
+def scenario(request):
+    facts_per_relation, docs_per_relation = SIZES[request.param]
+    registry = synthetic_registry(3 * UNSEEN)
+    ids = registry.ids()
+    world = build_world(registry, ids[:UNSEEN], seed=1, facts_per_relation=facts_per_relation,
+                        related_pool=ids[UNSEEN:], n_related=2)
+    corpus = world_documents(world, docs_per_relation, facts_per_doc=3, seed=1)
+    kept = set(world.facts)
+    return world, docs_per_relation, corpus, kept
+
+
+@pytest.mark.benchmark(group="world_documents")
+def test_world_documents(benchmark, scenario):
+    world, docs_per_relation, corpus, _ = scenario
+    out = benchmark(world_documents, world, docs_per_relation, 3, 1)
+    assert len(out.documents) == len(corpus.documents)
+
+
+@pytest.mark.benchmark(group="relabel_corpus")
+def test_relabel_corpus(benchmark, scenario):
+    world, _, corpus, kept = scenario
+    denoised, report = benchmark(relabel_corpus, corpus, kept, world.unseen)
+    # the corpus is the world's exhaustive closure, so nothing is added or removed
+    assert report.counts["labels_added"] == report.counts["labels_removed"] == 0
+    assert [fact_keys(d) for d in denoised.documents] == [fact_keys(d) for d in corpus.documents]
+
+
+@pytest.mark.benchmark(group="bulk_json_write")
+def test_save_corpus(benchmark, scenario, tmp_path):
+    _, _, corpus, _ = scenario
+    path = tmp_path / "corpus.json"
+    benchmark(save_corpus, corpus, path)
+    assert path.stat().st_size > 0

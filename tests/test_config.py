@@ -108,6 +108,31 @@ class TestValidation:
         with pytest.raises(ConfigError, match="bad config value"):
             config_from_dict(minimal(**patch), base_dir=Path("/tmp"))
 
+    @pytest.mark.parametrize("patch,fragment", [
+        ({"mock": {"final_drop_prob": 1.0}}, r"bad mock value: final_drop_prob must lie in \[0, 1\)"),
+        ({"mock": {"label_drop_prob": -0.5}}, r"bad mock value: label_drop_prob"),
+        ({"mock": {"spurious_prob": 2}}, r"bad mock value: spurious_prob"),
+        ({"mock": {"facts_per_doc": "x"}}, "bad mock value: facts_per_doc must be of type int"),
+        ({"mock": {"facts_per_relation": 0}}, "bad mock value: facts_per_relation"),
+        ({"mock": {"world_seed": 1.5}}, "bad mock value: world_seed"),
+        ({"live": {"timeout": "x"}}, "bad live value: timeout must be of type float"),
+        ({"live": {"timeout": 0}}, "bad live value: timeout must be positive"),
+        ({"live": {"burst": True}}, "bad live value: burst must be of type int"),
+        ({"live": {"max_attempts": 0}}, "bad live value: max_attempts"),
+        ({"live": {"model": 5}}, "bad live value: model must be of type str"),
+        ({"strict_seen": 1}, "bad config value: strict_seen must be of type bool"),
+        ({"m": 2.0}, "bad config value: m must be of type int"),
+    ])
+    def test_bad_section_and_scalar_values_rejected_at_load(self, patch, fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            config_from_dict(minimal(**patch), base_dir=Path("/tmp"))
+
+    def test_int_accepted_where_a_float_is_expected(self):
+        config = config_from_dict(minimal(live={"timeout": 30}, mock={"label_drop_prob": 0}),
+                                  base_dir=Path("/tmp"))
+        assert config.live.timeout == 30
+        assert config.mock.label_drop_prob == 0
+
     def test_live_backend_requires_endpoint(self):
         config = config_from_dict(
             minimal(backend="live",

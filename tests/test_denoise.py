@@ -18,7 +18,7 @@ from docrte.denoise import (
     prune,
     relabel_corpus,
 )
-from docrte.model import Document, Entity, EntityMention, FactKey
+from docrte.model import Document, Entity, EntityMention, FactKey, TripletLabel
 
 from conftest import build_corpus, build_doc, make_registry
 
@@ -268,6 +268,63 @@ class TestRelabel:
             corpus, {FactKey("ada", "boeing", "R1")}, unseen=["R1"])
         assert denoised.provenance == "denoised"
         assert corpus.documents[0].labels  # source untouched
+
+
+def reference_relabel(corpus, kept, unseen):
+    """Brute-force projection: every kept fact, in ``FactKey.sort_key`` order,
+    is tried against every document; returns (doc_id, labels) pairs."""
+    out = []
+    for doc in corpus.documents:
+        key_to_index = doc.key_to_index()
+        labels, present = [], set()
+        for lb in doc.labels:
+            head, tail = doc.entities[lb.head], doc.entities[lb.tail]
+            fact = None if head.key == tail.key else FactKey(head.key, tail.key, lb.relation)
+            if fact in kept:
+                labels.append((lb.head, lb.tail, lb.relation, lb.evidence, lb.reason))
+                present.add(fact)
+        for fact in sorted(kept, key=FactKey.sort_key):
+            h, t = key_to_index.get(fact.head_key), key_to_index.get(fact.tail_key)
+            if fact in present or h is None or t is None:
+                continue
+            evidence = sorted(doc.entities[h].sentence_ids() & doc.entities[t].sentence_ids())
+            labels.append((h, t, fact.relation, evidence, "cross-document consistency"))
+        if any(row[2] in unseen for row in labels):
+            out.append((doc.doc_id, labels))
+    return out
+
+
+class TestRelabelIndex:
+    def test_equals_a_scan_of_every_kept_fact(self):
+        registry = make_registry(("R1", "works with"), ("R2", "parent of"), ("R3", "rival of"))
+        names = ["Ada", "Boeing", "Cray", "Epson", "Uber", "Vimeo", "Xerox"]
+        rng = random.Random(11)
+        docs = []
+        for i in range(40):
+            picked = rng.sample(names, rng.randint(2, 5))
+            labels = [(h, t, rng.choice(["R1", "R2", "R3"]))
+                      for h, t in zip(picked, picked[1:]) if rng.random() < 0.7]
+            docs.append(build_doc(f"d{i}", picked, labels))
+        # duplicate entity keys: "ADA" normalizes like "Ada", and a label
+        # between the two is a head == tail fact that no kept fact can match
+        dup = build_doc("dup", ["Ada", "Boeing", "Cray"],
+                        [("Ada", "Boeing", "R1"), ("Boeing", "Cray", "R2")])
+        dup.sentences.append(["ADA", "again", "."])
+        dup.entities.append(entity_in("ADA", [(3, 0, 1)]))
+        dup.labels.append(TripletLabel(head=0, tail=3, relation="R1"))
+        dup.labels.append(TripletLabel(head=3, tail=2, relation="R3"))
+        docs.append(dup)
+        corpus = build_corpus(docs, registry=registry)
+        keys = [n.lower() for n in names]
+        universe = [FactKey(h, t, r) for h in keys for t in keys if h != t
+                    for r in ("R1", "R2", "R3")]
+        kept = {f for f in universe if rng.random() < 0.3} | {FactKey("ada", "cray", "R3")}
+        denoised, report = relabel_corpus(corpus, kept, unseen=["R1", "R3"])
+        got = [(d.doc_id, [(lb.head, lb.tail, lb.relation, lb.evidence, lb.reason)
+                           for lb in d.labels]) for d in denoised.documents]
+        assert got == reference_relabel(corpus, kept, {"R1", "R3"})
+        assert report.counts["labels_added"] > 40
+        assert {"head": "Ada", "tail": "ADA", "relation": "R1"} in report.removed["dup"]
 
 
 class TestFullDenoise:

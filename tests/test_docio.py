@@ -8,9 +8,11 @@ import os
 import pytest
 
 from docrte.docio import (
+    CORPUS_VERSION,
     CorpusFormatError,
     ParseError,
     canonical_dumps,
+    corpus_to_json,
     document_from_json,
     document_to_json,
     file_digest,
@@ -45,6 +47,14 @@ class TestCanonicalDumps:
     def test_same_object_same_bytes(self):
         obj = {"z": [1, {"k": "v"}], "a": "ä"}
         assert canonical_dumps(obj) == canonical_dumps(json.loads(canonical_dumps(obj)))
+
+    def test_compact_is_one_line_with_the_same_content(self):
+        obj = {"z": [1, {"k": "v", "n": None}], "a": "Łódź", "f": 0.5}
+        text = canonical_dumps(obj, compact=True)
+        assert text == '{"a":"Łódź","f":0.5,"z":[1,{"k":"v","n":null}]}\n'
+        assert json.loads(text) == json.loads(canonical_dumps(obj)) == obj
+        with pytest.raises(ValueError):
+            canonical_dumps({"x": math.nan}, compact=True)
 
 
 class TestAtomicWrites:
@@ -117,6 +127,21 @@ class TestCorpusRoundTrip:
         path2 = tmp_path / "c2.json"
         save_corpus(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_indented_layout_still_loads(self, tmp_path, registry6):
+        """Corpora written with indent=2 (the layout before bulk files went
+        compact) load unchanged: the reader never depended on the layout."""
+        assert CORPUS_VERSION == 1
+        doc = build_doc("d1", ["Acme Corp", "Ada Byron"], [("Acme Corp", "Ada Byron", "R2", [0])])
+        corpus = build_corpus([doc], registry=registry6)
+        path = tmp_path / "indented.json"
+        path.write_text(json.dumps(corpus_to_json(corpus), ensure_ascii=False, sort_keys=True,
+                                   indent=2) + "\n", encoding="utf-8")
+        loaded = load_corpus(path, registry6)
+        assert loaded.documents == corpus.documents
+        save_corpus(loaded, tmp_path / "compact.json")
+        assert (tmp_path / "compact.json").read_text(encoding="utf-8").count("\n") == 1
+        assert load_json(tmp_path / "compact.json") == load_json(path)
 
     def test_version_mismatch_rejected(self, tmp_path, registry6):
         corpus = build_corpus([build_doc("d1", ["A", "B"], [("A", "B", "R1")])], registry=registry6)

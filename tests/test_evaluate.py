@@ -117,6 +117,30 @@ class TestRteRandomizedAgainstOracle:
                 assert result.f1 == pytest.approx(f1)
 
 
+class TestRteNameKeys:
+    def test_name_keys_computed_once_per_entity(self, monkeypatch):
+        import docrte.evaluate as evaluate_module
+
+        calls = []
+        original = evaluate_module._gold_name_keys
+
+        def counting(doc, entity_index, *rest):
+            if entity_index not in (rest[0] if rest else {}):
+                calls.append((doc.doc_id, entity_index))
+            return original(doc, entity_index, *rest)
+
+        monkeypatch.setattr(evaluate_module, "_gold_name_keys", counting)
+        doc = build_doc("d1", ["Ada", "Acme", "Initech"],
+                        [("Ada", "Acme", "R1"), ("Ada", "Initech", "R1"), ("Acme", "Ada", "R2")])
+        quiet = build_doc("d2", ["Ada", "Acme"], [("Ada", "Acme", "R1")])
+        corpus = build_corpus([doc, quiet], registry=registry())
+        preds = {"d1": [("Ada", "Initech", "R1"), ("acme", "ada", "R2"), ("Ada", "Acme", "R1"),
+                        ("Nobody", "Ada", "R1")]}
+        result = evaluate_rte(preds, corpus, {"R1", "R2"})
+        assert (result.tp, result.fp, result.fn) == (3, 1, 1)
+        assert sorted(calls) == [("d1", 0), ("d1", 1), ("d1", 2)]
+
+
 class TestRteHandCases:
     @pytest.fixture
     def gold(self):

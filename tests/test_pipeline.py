@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from docrte.backends import CassetteBackend, CountingBackend
 from docrte.cli import main
 from docrte.config import PipelineConfig, load_config
-from docrte.docio import load_corpus
+from docrte.docio import canonical_dumps, load_corpus
 from docrte.pipeline import (
     STAGE_ORDER,
     STAGES,
@@ -447,6 +447,34 @@ class TestDeterminism:
         assert tree_a and tree_a == tree_b
 
 
+# Run files written compact (one line); every other JSON file keeps indent=2.
+COMPACT_FILES = ("split/train_", "split/dev_", "split/test_", "generate/synthetic_",
+                 "generate/records_", "pseudo/pseudo_", "denoise/denoised_", "denoise/kg_",
+                 "eval/predictions_dev_", "eval/predictions_test_")
+
+
+class TestArtifactLayout:
+    def test_bulk_files_are_one_compact_line_and_small_files_indented(self, workspace):
+        runner = make_runner(workspace)
+        runner.run()
+        compact, indented = [], []
+        for path in sorted(runner.run_dir.rglob("*.json")):
+            rel = path.relative_to(runner.run_dir).as_posix()
+            text = path.read_text(encoding="utf-8")
+            data = json.loads(text)
+            if rel.startswith(COMPACT_FILES):
+                assert text == canonical_dumps(data, compact=True), rel
+                assert text.count("\n") == 1, rel
+                compact.append(rel)
+            else:
+                assert text == canonical_dumps(data), rel
+                indented.append(rel)
+        assert len(compact) == 2 * len(COMPACT_FILES)
+        assert {"report.json", "effective_config.json", "split/spec_3.json",
+                "denoise/report_3.json", "eval/dev_3.json",
+                "manifests/denoise.json"} <= set(indented)
+
+
 class TestCli:
     def test_single_stage_then_skip(self, workspace):
         cli = CliRunner()
@@ -482,6 +510,15 @@ class TestCli:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "error:" in result.stderr
+
+    @pytest.mark.parametrize("section", [{"mock": {"final_drop_prob": 1.0}},
+                                         {"live": {"timeout": "x"}}])
+    def test_bad_section_value_exits_1_before_any_stage(self, workspace, section):
+        workspace.write_text(json.dumps(dict(PIPELINE_CONFIG, **section)), encoding="utf-8")
+        result = CliRunner().invoke(main, ["--config", str(workspace), "run-all"])
+        assert result.exit_code == 1
+        assert "error:" in result.stderr
+        assert not (workspace.parent / "run").exists()
 
     def test_run_all_prints_report(self, workspace):
         result = CliRunner().invoke(main, ["--config", str(workspace), "run-all"])

@@ -1,6 +1,7 @@
 """Simulated world: registries, fact graphs, fabricated corpora, demo inputs."""
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from docrte.docio import (
 from docrte.model import FactKey, fact_keys, validate_corpus
 from docrte.simulate import (
     MockWorldParams,
+    _fact_sentence,
     build_world,
     chat_script,
     corrupt_labels,
@@ -80,7 +82,56 @@ class TestBuildWorld:
         assert a.all_facts() != c.all_facts()
 
 
+def reference_choice(world, seed, rel, k, facts_per_doc):
+    """The facts a document about ``rel`` expresses, drawn the way the
+    unindexed code drew them: the k-th own fact, then a sample of the rest
+    of the relation's pool with that fact filtered out by equality."""
+    own = world.facts_by_relation[rel]
+    pool = [f for r in (rel, *world.related[rel]) for f in world.facts_by_relation[r]]
+    chosen = [own[k % len(own)]]
+    candidates = [f for f in pool if f not in chosen]
+    rng = random.Random(f"doc:{seed}:{rel}:{k}")
+    return chosen + rng.sample(candidates, min(facts_per_doc - 1, len(candidates)))
+
+
+def closure_labels(world, doc):
+    """Brute-force reference: scan every world fact in ``FactKey.sort_key``
+    order and keep those whose two entity keys both occur in ``doc``."""
+    index_of = {ent.key: i for i, ent in enumerate(doc.entities)}
+    rows = []
+    for fact in sorted(world.facts, key=FactKey.sort_key):
+        if fact.head_key in index_of and fact.tail_key in index_of:
+            h, t = index_of[fact.head_key], index_of[fact.tail_key]
+            evidence = sorted(doc.entities[h].sentence_ids() & doc.entities[t].sentence_ids())
+            rows.append((h, t, fact.relation, evidence))
+    return rows
+
+
 class TestWorldDocuments:
+    @pytest.mark.parametrize("seed,facts_per_relation,facts_per_doc", [
+        (1, 4, 3), (2, 12, 4), (3, 30, 5), (4, 8, 2)])
+    def test_indexed_labels_equal_a_scan_of_every_world_fact(
+            self, seed, facts_per_relation, facts_per_doc):
+        registry = synthetic_registry(12)
+        ids = registry.ids()
+        world = build_world(registry, ids[:4], seed=seed, facts_per_relation=facts_per_relation,
+                            related_pool=ids[4:], n_related=3)
+        corpus = world_documents(world, docs_per_relation=6, facts_per_doc=facts_per_doc,
+                                 seed=seed)
+        assert sum(len(doc.labels) for doc in corpus.documents) > len(corpus.documents)
+        for doc in corpus.documents:
+            rel, k = doc.doc_id.rsplit("-", 1)
+            chosen = reference_choice(world, seed, rel, int(k), facts_per_doc)
+            assert doc.sentences[1:] == [_fact_sentence(world, f) for f in chosen], doc.doc_id
+            got = [(lb.head, lb.tail, lb.relation, lb.evidence) for lb in doc.labels]
+            assert got == closure_labels(world, doc), doc.doc_id
+
+    def test_head_index_covers_every_fact_once(self, small_world):
+        indexed = [f for facts in small_world.facts_by_head.values() for f in facts]
+        assert sorted(indexed, key=FactKey.sort_key) == small_world.all_facts()
+        assert all(f.head_key == key for key, facts in small_world.facts_by_head.items()
+                   for f in facts)
+
     def test_ids_titles_and_quota(self, small_world):
         corpus = world_documents(small_world, docs_per_relation=3,
                                  facts_per_doc=2, seed=5, id_prefix="x-")
