@@ -135,21 +135,23 @@ class ScriptedBackend(ChatBackend):
 
     Script values are either a string (served for every attempt) or a sequence
     of strings served per attempt, the last one repeating.  Every call is
-    recorded in ``self.calls`` for contract tests.
+    recorded in ``self.calls`` for contract tests, unless ``record_calls`` is
+    false: the pipeline's mock backend keeps no transcripts, which would hold
+    a copy of every chain's conversation until its stage ends.
     """
 
-    def __init__(self, script: Mapping[tuple, str | Sequence[str]]):
+    def __init__(self, script: Mapping[tuple, str | Sequence[str]], record_calls: bool = True):
         self._script = dict(script)
         self._lock = threading.Lock()
+        self._record_calls = record_calls
         self.calls: list[RequestEnvelope] = []
 
     def send(self, transcript, temperature, meta=None):
         if meta is None:
             raise BackendError("scripted backend requires request metadata")
-        with self._lock:
-            self.calls.append(
-                RequestEnvelope(transcript.messages(), temperature, meta)
-            )
+        if self._record_calls:
+            with self._lock:
+                self.calls.append(RequestEnvelope(transcript.messages(), temperature, meta))
         for key in ((meta.relation, meta.doc_index, meta.step), (meta.relation, meta.step)):
             if key in self._script:
                 value = self._script[key]
@@ -297,6 +299,17 @@ class RateLimiter:
 
 
 RETRYABLE_STATUS = {408, 429, 500, 502, 503, 504}
+# statuses whose Retry-After header says how long to wait before retrying
+RETRY_AFTER_STATUS = {429, 503}
+
+
+def _retry_after(resp: Any) -> float | None:
+    """The delay a delta-seconds ``Retry-After`` header asks for, if any.
+
+    The HTTP-date form is not read; the caller backs off as usual then.
+    """
+    value = resp.headers.get("Retry-After", "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
 
 
 class LiveChatBackend(ChatBackend):
@@ -305,7 +318,8 @@ class LiveChatBackend(ChatBackend):
     The bearer token is read from the environment variable named by
     ``api_key_env`` at call time; secrets never land in config files or run
     artifacts.  Retryable statuses (408 request timeout, 429 and 5xx) back off
-    exponentially.
+    exponentially; a 429 or 503 with a delta-seconds ``Retry-After`` header
+    waits that long instead.  Either wait is capped by ``backoff_cap``.
     """
 
     def __init__(
@@ -349,6 +363,7 @@ class LiveChatBackend(ChatBackend):
             )
         last_error = "no attempt made"
         for attempt in range(self.max_attempts):
+            asked: float | None = None
             if self.rate_limiter is not None:
                 self.rate_limiter.acquire()
             try:
@@ -371,8 +386,11 @@ class LiveChatBackend(ChatBackend):
                 last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
                 if resp.status_code not in RETRYABLE_STATUS:
                     raise BackendError(last_error)
+                if resp.status_code in RETRY_AFTER_STATUS:
+                    asked = _retry_after(resp)
             if attempt + 1 < self.max_attempts:
-                delay = min(self.backoff_cap, self.backoff_base * (2 ** attempt))
+                backoff = self.backoff_base * (2 ** attempt) if asked is None else asked
+                delay = min(self.backoff_cap, backoff)
                 logger.warning("chat request failed (%s); retrying in %.1fs", last_error, delay)
                 time.sleep(delay)
         raise BackendError(f"chat request failed after {self.max_attempts} attempts: {last_error}")
@@ -380,13 +398,21 @@ class LiveChatBackend(ChatBackend):
 
 @dataclass
 class CountingBackend(ChatBackend):
-    """Wrapper that counts calls; used to prove resumed stages stay cold."""
+    """Wrapper that counts calls; used to prove resumed stages stay cold.
+
+    Safe to share between generation threads: ``calls`` and ``envelopes``
+    change together, under a lock.
+    """
 
     inner: ChatBackend
     calls: int = 0
     envelopes: list[RequestEnvelope] = field(default_factory=list)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False,
+                                  compare=False)
 
     def send(self, transcript, temperature, meta=None):
-        self.calls += 1
-        self.envelopes.append(RequestEnvelope(transcript.messages(), temperature, meta))
+        envelope = RequestEnvelope(transcript.messages(), temperature, meta)
+        with self._lock:
+            self.calls += 1
+            self.envelopes.append(envelope)
         return self.inner.send(transcript, temperature, meta)

@@ -180,34 +180,49 @@ def assemble_finetune_dataset(
     to output nothing.
     """
     rng = random.Random(policy.seed)
+    menus = [(frozenset(group.relations),
+              ", ".join(registry.name_of(r) for r in group.relations)) for group in groups]
     samples: list[FinetuneSample] = []
     for doc in corpus.documents:
         text = render_document_text(doc)
         named = doc.name_triplets()
-        for group in groups:
-            triplets = [t for t in named if t[2] in group.relations]
-            target = format_triplet_block(triplets, registry)
+        for relations, menu in menus:
+            target = format_triplet_block([t for t in named if t[2] in relations], registry)
             if not target and rng.random() >= policy.keep_empty_prob:
                 continue
-            samples.append(
-                FinetuneSample(
-                    instruction=policy.instruction,
-                    document_text=text,
-                    relation_menu=", ".join(
-                        registry.name_of(r) for r in group.relations
-                    ),
-                    target=target,
-                )
-            )
+            samples.append(FinetuneSample(instruction=policy.instruction, document_text=text,
+                                          relation_menu=menu, target=target))
     return samples
 
 
 def write_finetune_file(samples: Sequence[FinetuneSample], path: Path | str) -> None:
-    """Write instruction-tuning samples as JSONL {instruction, input, output}."""
+    r"""Write instruction-tuning samples as JSONL {instruction, input, output}.
+
+    Line ``i`` is ``json.dumps(samples[i].to_json(), ensure_ascii=False,
+    sort_keys=True)`` and a newline; byte for byte::
+
+        {"input": "<document text>\nRelations: <menu>", "instruction": "<instruction>", "output": "<target>"}
+
+    where each ``<...>`` is its string JSON-escaped with non-ASCII kept as is,
+    and ``\n`` is the two characters backslash and ``n``.  An empty list
+    writes an empty file.  Escaping maps every character on its own, so each
+    distinct string is escaped once and the pieces are joined: a document's
+    text, shared by one sample per relation group, is escaped once.
+    """
+    escaped: dict[str, str] = {}
+
+    def esc(text: str) -> str:
+        out = escaped.get(text)
+        if out is None:
+            out = escaped[text] = json.dumps(text, ensure_ascii=False)[1:-1]
+        return out
+
     lines = [
-        json.dumps(s.to_json(), ensure_ascii=False, sort_keys=True) for s in samples
+        f'{{"input": "{esc(s.document_text)}\\nRelations: {esc(s.relation_menu)}", '
+        f'"instruction": "{esc(s.instruction)}", "output": "{esc(s.target)}"}}\n'
+        for s in samples
     ]
-    write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_text_atomic(path, "".join(lines))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Micro benchmarks for the mock world, relabeling and bulk JSON writes.
+"""Micro benchmarks for the mock world, relabeling, bulk JSON writes and
+finetune-data assembly.
 
 Each layer runs at two sizes; the larger one has four times the documents
 and four times the world facts, so near-linear code takes about four times
@@ -16,6 +17,12 @@ import pytest
 from docrte.denoise import relabel_corpus
 from docrte.docio import save_corpus
 from docrte.model import fact_keys
+from docrte.pseudo import (
+    FinetunePolicy,
+    assemble_finetune_dataset,
+    partition_relations,
+    write_finetune_file,
+)
 from docrte.simulate import build_world, synthetic_registry, world_documents
 
 UNSEEN = 10
@@ -57,3 +64,20 @@ def test_save_corpus(benchmark, scenario, tmp_path):
     path = tmp_path / "corpus.json"
     benchmark(save_corpus, corpus, path)
     assert path.stat().st_size > 0
+
+
+@pytest.mark.benchmark(group="finetune_data")
+def test_finetune_data(benchmark, scenario, tmp_path):
+    world, _, corpus, _ = scenario
+    groups = partition_relations(world.registry.ids(), group_size=5, seed=1)
+    policy = FinetunePolicy(instruction="Extract the relation triplets.", seed=1)
+    path = tmp_path / "samples.jsonl"
+
+    def assemble_and_write():
+        samples = assemble_finetune_dataset(corpus, groups, policy, world.registry)
+        write_finetune_file(samples, path)
+        return samples
+
+    samples = benchmark(assemble_and_write)
+    assert len(samples) == len(corpus.documents) * len(groups)
+    assert len(path.read_text(encoding="utf-8").splitlines()) == len(samples)

@@ -253,6 +253,7 @@ class FakeResponse:
     status_code: int
     payload: dict | None = None
     text: str = ""
+    headers: dict = field(default_factory=dict)
 
     def json(self):
         if self.payload is None:
@@ -332,6 +333,22 @@ class TestLiveChatBackend:
         with pytest.raises(BackendError, match="3 attempts"):
             backend.send(transcript("s", "q"), 0.0)
         assert len(session.requests) == 3
+
+    def test_retry_after_seconds_is_honoured_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setenv("TEST_CHAT_KEY", "sk-123")
+        slept = []
+        monkeypatch.setattr("docrte.backends.time.sleep", slept.append)
+        backend, session = self.make([
+            FakeResponse(429, text="slow down", headers={"Retry-After": "7"}),
+            FakeResponse(503, text="down", headers={"Retry-After": "120"}),
+            # only the delta-seconds form on 429 and 503 is read
+            FakeResponse(503, text="down", headers={"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}),
+            FakeResponse(500, text="oops", headers={"Retry-After": "9"}),
+            completion("ok"),
+        ], backoff_cap=30.0)
+        assert backend.send(transcript("s", "q"), 0.0) == "ok"
+        assert len(session.requests) == 5
+        assert slept == [7.0, 30.0, 0.0, 0.0]  # backoff_base is 0
 
     def test_malformed_completion_payload_raises(self, monkeypatch):
         monkeypatch.setenv("TEST_CHAT_KEY", "sk-123")

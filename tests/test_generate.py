@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import json
+import sys
+import time
 
 import pytest
 
-from docrte.backends import BackendError, ChatBackend, ScriptedBackend
+from docrte.backends import BackendError, ChatBackend, CountingBackend, ScriptedBackend
 from docrte.generate import (
     ChainConfig,
     extract_json_block,
@@ -281,6 +283,34 @@ class TestCorpusGeneration:
             parallel_backend, sorted(world.unseen), registry, config, parallelism=4)
         assert [d.doc_id for d in serial.documents] == [d.doc_id for d in parallel.documents]
         assert serial.documents == parallel.documents
+
+    def test_counting_backend_counts_every_call_of_parallel_chains(self, world_kit):
+        registry, world, truth, corrupted = world_kit
+
+        class SlowCount(CountingBackend):
+            """Widens the window between reading and writing ``calls``, so an
+            increment made without a lock loses updates to concurrent sends."""
+
+            @property
+            def calls(self):
+                value = self.__dict__["calls"]
+                time.sleep(0.002)
+                return value
+
+            @calls.setter
+            def calls(self, value):
+                self.__dict__["calls"] = value
+
+        inner = ScriptedBackend(chat_script(world, corrupted))
+        counter = SlowCount(inner)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            generate_corpus(counter, sorted(world.unseen), registry, small_config(),
+                            parallelism=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counter.calls == len(counter.envelopes) == len(inner.calls) == 28
 
     def test_all_chains_failing_raises(self, world_kit):
         registry, world, truth, corrupted = world_kit

@@ -1,18 +1,24 @@
 """Orchestration: staged runs, resume-by-digest, locking, and the CLI."""
 from __future__ import annotations
 
+import gc
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import docrte
 from docrte.backends import CassetteBackend, CountingBackend
 from docrte.cli import main
 from docrte.config import PipelineConfig, load_config
 from docrte.docio import canonical_dumps, load_corpus
 from docrte.pipeline import (
+    STAGE_GC_GEN0,
     STAGE_ORDER,
     STAGES,
     MissingStageError,
@@ -434,6 +440,79 @@ class TestLocking:
         (runner.run_dir / ".lock").unlink()
         assert outcome_map(runner.run(["split"])) == {"split": "ran"}
         assert not (runner.run_dir / ".lock").exists()
+
+    def test_lock_of_a_killed_holder_does_not_refuse_the_next_run(self, workspace):
+        runner = make_runner(workspace)
+        package_root = str(Path(docrte.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        for _ in range(2):  # the second holder takes over what the first left
+            holder = subprocess.Popen([sys.executable, "-c", HOLD_LOCK, str(runner.run_dir)],
+                                      stdout=subprocess.PIPE, text=True, env=env)
+            try:
+                assert holder.stdout.readline() == "locked\n"
+                with pytest.raises(StageError, match="locked"):
+                    runner.run(["split"])  # the holder is alive
+                holder.kill()  # SIGKILL: the holder runs no cleanup
+                holder.wait(timeout=30)
+            finally:
+                holder.kill()
+                holder.wait(timeout=30)
+                holder.stdout.close()
+            assert (runner.run_dir / ".lock").exists()
+        assert outcome_map(runner.run(["split"])) == {"split": "ran"}
+        assert not (runner.run_dir / ".lock").exists()
+
+
+HOLD_LOCK = """
+import sys, time
+from pathlib import Path
+from docrte.pipeline import run_lock
+with run_lock(Path(sys.argv[1])):
+    print("locked", flush=True)
+    time.sleep(120)
+"""
+
+
+class TestCollectorPolicy:
+    def test_stage_body_runs_with_raised_gen0_threshold(self, workspace):
+        before = gc.get_threshold()
+        seen = []
+
+        def watching(runner, seed, spec):
+            seen.append(gc.get_threshold())
+            return runner.default_pseudo_predictor(seed, spec)
+
+        def exploding(runner, seed, spec):
+            raise RuntimeError("predictor crashed")
+
+        try:
+            runner = make_runner(workspace, predictor_factory=watching)
+            runner.run(["split", "generate"])
+            assert gc.get_threshold() == before
+            assert runner.run_stage("pseudo-label").status == "ran"
+            raised = (max(STAGE_GC_GEN0, before[0]),) + before[1:]
+            assert seen == [raised] * len(PIPELINE_CONFIG["seeds"])
+            assert gc.get_threshold() == before
+            failing = make_runner(workspace, predictor_factory=exploding)
+            with pytest.raises(StageError, match="predictor crashed"):
+                failing.run_stage("pseudo-label", force=True)
+            assert gc.get_threshold() == before
+        finally:
+            gc.set_threshold(*before)
+
+
+class TestMockBackend:
+    def test_runner_mock_backend_keeps_no_transcripts(self, workspace):
+        built = []
+
+        def keeping(runner, seed, spec):
+            built.append(runner.default_chat_backend(seed, spec))
+            return built[-1]
+
+        make_runner(workspace, chat_backend_factory=keeping).run(["split", "generate"])
+        assert len(built) == len(PIPELINE_CONFIG["seeds"])
+        assert all(backend.calls == [] for backend in built)
 
 
 class TestDeterminism:

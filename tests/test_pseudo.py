@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import json
 import sys
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from docrte.model import FactKey, ValidationError
 from docrte.pseudo import (
     FinetunePolicy,
+    FinetuneSample,
     HttpPredictor,
     OraclePredictor,
     PredictorError,
@@ -165,6 +168,37 @@ class TestFinetuneAssembly:
         write_finetune_file(samples, path)
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert rows == [s.to_json() for s in samples]
+
+    TRICKY_INSTRUCTION = 'Say "hi" \\ then\nstop:\ttab'
+    TRICKY_TEXT = 'Café «Zoë» \\ "quoted"\nline\u2028two\x01end \U0001F600'
+
+    @pytest.mark.parametrize("samples", [
+        [],
+        [FinetuneSample(TRICKY_INSTRUCTION, TRICKY_TEXT, "employer, founded by",
+                        "(Ada | Acme | employer)\n(Zoë | \"Q\" | spouse)"),
+         FinetuneSample(TRICKY_INSTRUCTION, TRICKY_TEXT, "spouse", ""),
+         FinetuneSample("", "", "", "")],
+    ], ids=["empty", "escapes"])
+    def test_written_bytes_equal_per_sample_dumps(self, samples, tmp_path):
+        path = tmp_path / "ft.jsonl"
+        write_finetune_file(samples, path)
+        assert path.read_bytes() == per_sample_dumps(samples)
+
+    @given(st.lists(st.tuples(st.text(), st.text(), st.text(), st.text()), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_written_bytes_equal_per_sample_dumps_property(self, rows):
+        samples = [FinetuneSample(*row) for row in rows]
+        samples += samples  # repeated strings take the memoised path
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ft.jsonl"
+            write_finetune_file(samples, path)
+            assert path.read_bytes() == per_sample_dumps(samples)
+
+
+def per_sample_dumps(samples) -> bytes:
+    """The reference layout: one ``json.dumps`` per sample."""
+    return "".join(json.dumps(s.to_json(), ensure_ascii=False, sort_keys=True) + "\n"
+                   for s in samples).encode("utf-8")
 
 
 ECHO_SERVER = r"""
