@@ -171,6 +171,24 @@ def document_to_json(doc: Document) -> dict[str, Any]:
     }
 
 
+def _token_lists(sents: Any, where: str) -> list[list[str]]:
+    """``sents`` itself, once checked to be a list of lists of strings.
+
+    A string sentence would otherwise become a list of one-character tokens.
+    """
+    if not isinstance(sents, list):
+        raise ParseError(f"{where}: sentences must be a list, not {type(sents).__name__}")
+    for i, sent in enumerate(sents):
+        if isinstance(sent, list):
+            try:
+                " ".join(sent)  # raises TypeError on a token that is not a string
+                continue
+            except TypeError:
+                pass
+        raise ParseError(f"{where}: sentence {i} is not a list of strings: {sent!r}")
+    return sents
+
+
 def document_from_json(row: dict[str, Any]) -> Document:
     try:
         entities = [
@@ -194,7 +212,7 @@ def document_from_json(row: dict[str, Any]) -> Document:
         return Document(
             doc_id=row["doc_id"],
             title=row["title"],
-            sentences=[list(s) for s in row["sentences"]],
+            sentences=_token_lists(row["sentences"], f"document {row.get('doc_id')!r}"),
             entities=entities,
             labels=labels,
         )
@@ -252,7 +270,7 @@ def load_docred(path: Path | str, registry: RelationRegistry) -> Corpus:
         title = row.get("title")
         if not title:
             raise ParseError(f"{path}: document without title: {row!r}")
-        sents = row.get("sents") or []
+        sents = _token_lists(row.get("sents") or [], f"{path}: {title!r}")
         entities = []
         for cluster in row.get("vertexSet") or []:
             if not cluster:
@@ -291,7 +309,7 @@ def load_docred(path: Path | str, registry: RelationRegistry) -> Corpus:
                 )
             )
         documents.append(
-            Document(doc_id=title, title=title, sentences=[list(s) for s in sents],
+            Document(doc_id=title, title=title, sentences=sents,
                      entities=entities, labels=labels)
         )
     corpus = Corpus(documents=documents, provenance="human", registry=registry)

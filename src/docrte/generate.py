@@ -455,22 +455,30 @@ def _norm_text(s: str) -> str:
     return " ".join(s.split()).casefold()
 
 
+def lowered_sentences(sentences: Sequence[Sequence[str]]) -> list[str]:
+    """Each sentence space-joined and lowercased, as grounding matches it."""
+    return [" ".join(tokens).lower() for tokens in sentences]
+
+
 def ground_entity_mentions(
-    name: str, sentences: Sequence[Sequence[str]], etype: str
+    name: str, sentences: Sequence[Sequence[str]], etype: str,
+    lowered: Sequence[str] | None = None,
 ) -> list[EntityMention]:
     """Find token-aligned, case-insensitive occurrences of ``name``.
 
     Sentences are whitespace-tokenized, so matching runs over the
     space-joined sentence and accepts only matches that start and end on
     token boundaries.  The first (leftmost) match per sentence becomes the
-    mention for that sentence.
+    mention for that sentence.  A caller grounding several names in one
+    document passes ``lowered_sentences(sentences)`` as ``lowered``.
     """
     target = " ".join(name.split()).lower()
     if not target:
         return []
+    if lowered is None:
+        lowered = lowered_sentences(sentences)
     mentions = []
-    for sent_id, tokens in enumerate(sentences):
-        joined = " ".join(tokens).lower()
+    for sent_id, joined in enumerate(lowered):
         pos = joined.find(target)
         while pos != -1:
             start_ok = pos == 0 or joined[pos - 1] == " "
@@ -554,6 +562,7 @@ def finalize_and_parse(
 
         entities: list[Entity] = []
         keys_seen: set[str] = set()
+        lowered = lowered_sentences(sentences)
         if not isinstance(data["entities"], list):
             raise _ParseProblem("'entities' must be a list")
         for row in data["entities"]:
@@ -572,7 +581,7 @@ def finalize_and_parse(
             if key in keys_seen:
                 continue
             keys_seen.add(key)
-            mentions = ground_entity_mentions(name, sentences, etype)
+            mentions = ground_entity_mentions(name, sentences, etype, lowered)
             if not mentions:
                 report.ungrounded_entities.append(name)
             entities.append(Entity(canonical_name=name, mentions=mentions, key=key))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 logger = logging.getLogger(__name__)
@@ -17,6 +18,10 @@ logger = logging.getLogger(__name__)
 ENTITY_TYPES: tuple[str, ...] = ("PER", "ORG", "LOC", "TIME", "NUM", "MISC")
 
 PROVENANCES: tuple[str, ...] = ("human", "synthetic", "pseudo_labeled", "denoised")
+
+
+# Distinct names whose keys stay memoised.
+NAME_KEY_CACHE = 1 << 14
 
 
 class EntityKeyError(ValueError):
@@ -31,12 +36,15 @@ class RegistryError(ValueError):
     """Raised for unknown or duplicate relation types."""
 
 
+@lru_cache(maxsize=NAME_KEY_CACHE)
 def normalize_entity_key(name: str) -> str:
     """Normalize an entity surface form into its identity key.
 
     Case-folds, strips, and collapses internal whitespace runs to single
     spaces.  The result is idempotent.  An empty result is an error: callers
-    must never silently produce facts about nameless entities.
+    must never silently produce facts about nameless entities.  Results are
+    memoised (a run normalises the same few thousand names many times); an
+    error is raised afresh on every call.
     """
     key = " ".join(name.split()).casefold()
     if not key:
@@ -273,6 +281,13 @@ def validate_document(doc: Document, registry: RelationRegistry | None = None) -
     for s, sent in enumerate(doc.sentences):
         if not sent:
             raise ValidationError(f"{doc.doc_id}: sentence {s} is empty")
+        try:
+            # the tokens are non-empty and hold no whitespace exactly when
+            # splitting their space-joined text gives them back
+            if " ".join(sent).split() == sent:
+                continue
+        except TypeError:  # a token that is not a string
+            pass
         for tok in sent:
             if not tok or tok.split() != [tok]:
                 raise ValidationError(

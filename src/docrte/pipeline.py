@@ -14,6 +14,12 @@ every stage reruns it first.  All artifact writes are atomic (write to a
 temp file, then rename), which keeps a crash from leaving a half-written
 file that a resume would mistake for a completed one.
 
+With the mock backend and predictor, pseudo-label's oracle reuses the truth
+corpus of the mock world that generate built for the same seed in the same
+:meth:`PipelineRunner.run`; when pseudo-label runs without generate (alone,
+after a skipped generate, or behind a custom chat factory) it rebuilds the
+world, which is a pure function of the config, seed and split.
+
 Run directory layout::
 
     effective_config.json       config used by the last stage that ran
@@ -332,6 +338,10 @@ class PipelineRunner:
         self._fresh: dict[str, StageManifest] = {}
         # whether effective_config.json echoes this config yet
         self._config_written = False
+        # pseudo-label's oracles over the truth corpora of the mock worlds
+        # generate built in the current run(), by (seed, spec), so a run builds
+        # each world once; an oracle holds far less memory than its corpus
+        self._oracles: dict[tuple[int, SplitSpec], OraclePredictor] = {}
 
     # -- small helpers ------------------------------------------------------
 
@@ -499,7 +509,10 @@ class PipelineRunner:
         with run_lock(self.run_dir):
             self._fresh = {}
             self._config_written = False
-            return [self.run_stage(stage, force=force) for stage in ordered]
+            try:
+                return [self.run_stage(stage, force=force) for stage in ordered]
+            finally:
+                self._oracles.clear()
 
     # -- transports -----------------------------------------------------------
 
@@ -517,7 +530,9 @@ class PipelineRunner:
     def default_chat_backend(self, seed: int, spec: SplitSpec) -> ChatBackend:
         cfg = self.config
         if cfg.backend == "mock":
-            world, _, corrupted = self._mock_world(seed, spec)
+            world, truth, corrupted = self._mock_world(seed, spec)
+            if cfg.predictor == "mock":
+                self._oracles[seed, spec] = self._pseudo_oracle(seed, spec, truth)
             return ScriptedBackend(chat_script(world, corrupted), record_calls=False)
         if cfg.backend == "cassette":
             if cfg.cassette_mode == "record":
@@ -550,12 +565,15 @@ class PipelineRunner:
             return HttpPredictor(getattr(self.config, f"{role}_url"))
         raise StageError(f"{role} is {kind!r}; configure another {role} to run this stage")
 
+    def _pseudo_oracle(self, seed: int, spec: SplitSpec, truth: Corpus) -> OraclePredictor:
+        return OraclePredictor(truth, self.registry, drop_prob=self.config.mock.pseudo_drop_prob,
+                               seed=seed, restrict_to=sorted(spec.unseen))
+
     def default_pseudo_predictor(self, seed: int, spec: SplitSpec) -> PredictorBackend:
         def oracle() -> PredictorBackend:
-            _, truth, _ = self._mock_world(seed, spec)
-            return OraclePredictor(truth, self.registry,
-                                   drop_prob=self.config.mock.pseudo_drop_prob,
-                                   seed=seed, restrict_to=sorted(spec.unseen))
+            if (seed, spec) in self._oracles:
+                return self._oracles.pop((seed, spec))
+            return self._pseudo_oracle(seed, spec, self._mock_world(seed, spec)[1])
 
         return self._predictor("predictor", oracle)
 

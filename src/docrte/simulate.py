@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .docio import save_docred, write_text_atomic
-from .generate import ground_entity_mentions
+from .generate import ground_entity_mentions, lowered_sentences
 from .model import (
     Corpus,
     Document,
@@ -218,9 +218,10 @@ def _doc_from_facts(
                 entities.append(ent)
     sentences = [["This", "dossier", "records", "verified", "connections", "."]]
     sentences += [_fact_sentence(world, fact) for fact in chosen]
+    lowered = lowered_sentences(sentences)
     doc_entities = []
     for ent in entities:
-        mentions = ground_entity_mentions(ent.name, sentences, ent.etype)
+        mentions = ground_entity_mentions(ent.name, sentences, ent.etype, lowered)
         doc_entities.append(Entity(canonical_name=ent.name, mentions=mentions))
     index_of = {ent.key: i for i, ent in enumerate(doc_entities)}
     closure = [fact for key in index_of for fact in world.facts_by_head.get(key, ())

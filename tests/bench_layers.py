@@ -1,5 +1,5 @@
-"""Micro benchmarks for the mock world, relabeling, bulk JSON writes and
-finetune-data assembly.
+"""Micro benchmarks for the mock world, corpus validation, mention grounding,
+relabeling, bulk JSON writes and finetune-data assembly.
 
 Each layer runs at two sizes; the larger one has four times the documents
 and four times the world facts, so near-linear code takes about four times
@@ -16,14 +16,21 @@ import pytest
 
 from docrte.denoise import relabel_corpus
 from docrte.docio import save_corpus
-from docrte.model import fact_keys
+from docrte.generate import ground_entity_mentions, lowered_sentences
+from docrte.model import fact_keys, validate_corpus
 from docrte.pseudo import (
     FinetunePolicy,
     assemble_finetune_dataset,
     partition_relations,
     write_finetune_file,
 )
-from docrte.simulate import build_world, synthetic_registry, world_documents
+from docrte.simulate import (
+    MockWorldParams,
+    build_world,
+    mock_generation_corpus,
+    synthetic_registry,
+    world_documents,
+)
 
 UNSEEN = 10
 # size -> (world facts per relation, documents per unseen relation)
@@ -47,6 +54,41 @@ def test_world_documents(benchmark, scenario):
     world, docs_per_relation, corpus, _ = scenario
     out = benchmark(world_documents, world, docs_per_relation, 3, 1)
     assert len(out.documents) == len(corpus.documents)
+
+
+@pytest.mark.benchmark(group="mock_generation_corpus")
+@pytest.mark.parametrize("size", list(SIZES))
+def test_mock_generation_corpus(benchmark, size):
+    facts_per_relation, docs_per_relation = SIZES[size]
+    registry = synthetic_registry(3 * UNSEEN)
+    ids = registry.ids()
+    params = MockWorldParams(facts_per_relation=facts_per_relation)
+    _, truth, corrupted = benchmark(mock_generation_corpus, registry, ids[:UNSEEN],
+                                    ids[UNSEEN:], 1, docs_per_relation, 2, params)
+    assert len(truth.documents) == len(corrupted.documents) == UNSEEN * docs_per_relation
+
+
+@pytest.mark.benchmark(group="validate_corpus")
+def test_validate_corpus(benchmark, scenario):
+    _, _, corpus, _ = scenario
+    benchmark(validate_corpus, corpus)
+
+
+@pytest.mark.benchmark(group="mention_grounding")
+def test_mention_grounding(benchmark, scenario):
+    _, _, corpus, _ = scenario
+
+    def ground_every_entity():
+        found = 0
+        for doc in corpus.documents:
+            lowered = lowered_sentences(doc.sentences)
+            for ent in doc.entities:
+                found += len(ground_entity_mentions(ent.canonical_name, doc.sentences,
+                                                   ent.etype, lowered))
+        return found
+
+    found = benchmark(ground_every_entity)
+    assert found == sum(len(e.mentions) for d in corpus.documents for e in d.entities)
 
 
 @pytest.mark.benchmark(group="relabel_corpus")

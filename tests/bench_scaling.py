@@ -1,0 +1,108 @@
+"""How the mock pipeline scales with the number of documents: sizes M and L.
+
+Both sizes use the demo inputs with 120 relations, seeds 11, 23 and 37,
+m=20 and the mock world; L has twice the documents and twice the world facts
+of M, so near-linear code takes about twice as long.  Every stage of a cold
+run goes through ``PipelineRunner.run_stage``, then a second runner makes a
+no-op ``run()``.  Each size runs in a child process of its own, so its peak
+RSS is its alone.  The script prints per-stage wall time, the total, the
+no-op rerun, peak RSS, the bytes in the run directory and the line count of
+``src/docrte``.
+
+Not collected by the default test run (its file name does not match
+``test_*.py``).  Run it on its own::
+
+    python tests/bench_scaling.py          # M, then L
+    python tests/bench_scaling.py L
+"""
+from __future__ import annotations
+
+import json
+import logging
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # run from the source checkout
+
+# size -> (documents per unseen relation, world facts per relation)
+SIZES = {"M": (100, 50), "L": (200, 100)}
+N_RELATIONS = 120
+SEEDS = [11, 23, 37]
+M_UNSEEN = 20
+
+
+def measure(size: str, work: Path) -> dict:
+    from docrte.config import config_from_dict, strip_json_comments
+    from docrte.pipeline import STAGE_ORDER, PipelineRunner
+    from docrte.simulate import write_demo_inputs
+
+    docs, facts = SIZES[size]
+    write_demo_inputs(work, n_relations=N_RELATIONS)
+    data = json.loads(strip_json_comments((work / "config.json").read_text(encoding="utf-8")))
+    data.update(m=M_UNSEEN, seeds=SEEDS, docs_per_relation=docs,
+                mock={"facts_per_relation": facts})
+    config = config_from_dict(data, base_dir=work)
+    runner = PipelineRunner(config)
+    stages = {}
+    for stage in STAGE_ORDER:
+        started = time.perf_counter()
+        runner.run_stage(stage)
+        stages[stage] = time.perf_counter() - started
+    started = time.perf_counter()
+    outcomes = PipelineRunner(config).run()
+    noop = time.perf_counter() - started
+    if any(o.status != "skipped" for o in outcomes):
+        raise RuntimeError(f"the no-op rerun ran stages: {outcomes}")
+    run_dir = Path(config.run_dir)
+    return {
+        "size": size,
+        "stages_s": stages,
+        "total_s": sum(stages.values()),
+        "noop_s": noop,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
+        "run_dir_mb": sum(p.stat().st_size for p in run_dir.rglob("*") if p.is_file()) / 1e6,
+    }
+
+
+def src_lines() -> int:
+    return sum(len(p.read_text(encoding="utf-8").splitlines())
+               for p in (ROOT / "src" / "docrte").glob("*.py"))
+
+
+def main(argv: list[str]) -> None:
+    if argv[:1] == ["--child"]:
+        logging.getLogger("docrte").setLevel(logging.ERROR)
+        with tempfile.TemporaryDirectory(prefix="docrte-scaling-") as tmp:
+            print(json.dumps(measure(argv[1], Path(tmp))))
+        return
+    sizes = argv or list(SIZES)
+    unknown = [s for s in sizes if s not in SIZES]
+    if unknown:
+        raise SystemExit(f"unknown size {unknown[0]!r}; choose from {', '.join(SIZES)}")
+    results = []
+    for size in sizes:
+        child = subprocess.run([sys.executable, __file__, "--child", size],
+                               check=True, capture_output=True, text=True)
+        results.append(json.loads(child.stdout.splitlines()[-1]))
+    rows = [(f"{stage} (s)", [r["stages_s"][stage] for r in results])
+            for stage in results[0]["stages_s"]]
+    rows += [(label, [r[key] for r in results])
+             for label, key in (("total (s)", "total_s"), ("no-op rerun (s)", "noop_s"),
+                                ("peak RSS (MB)", "peak_rss_mb"), ("run dir (MB)", "run_dir_mb"))]
+    print(f"{'':<28}" + "".join(f"{r['size']:>10}" for r in results))
+    for label, values in rows:
+        print(f"{label:<28}" + "".join(f"{v:>10.2f}" for v in values))
+    totals = {r["size"]: r["total_s"] for r in results}
+    if len(totals) == 2:
+        print(f"L / M total: {totals['L'] / totals['M']:.2f}x")
+    print(f"src/docrte: {src_lines()} lines")
+    print(json.dumps({"sizes": SIZES, "results": results, "src_lines": src_lines()}))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

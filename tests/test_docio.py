@@ -225,3 +225,32 @@ class TestInterchangeFormat:
         save_docred(corpus, out)
         again = load_docred(out, registry6)
         assert again.documents == corpus.documents
+
+
+# Sentences that are not lists of strings; the first is the DocRED mistake of
+# giving sentences as plain strings, which used to load as one-character tokens.
+BAD_SENTENCES = [
+    ["Alice", "Bob"],
+    [["Alice", 3]],
+    [["Alice"], None],
+    "Alice Bob",
+]
+
+
+class TestSentenceShape:
+    @pytest.mark.parametrize("sents", BAD_SENTENCES)
+    def test_docred_loader_rejects(self, tmp_path, registry6, sents):
+        record = dict(_docred_record(), sents=sents, vertexSet=[], labels=[])
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps([record]))
+        with pytest.raises(ParseError, match="doc-1"):
+            load_docred(path, registry6)
+
+    @pytest.mark.parametrize("sents", BAD_SENTENCES)
+    def test_corpus_loader_rejects(self, tmp_path, registry6, sents):
+        data = corpus_to_json(build_corpus([build_doc("d1", ["Acme"], [])], registry=registry6))
+        data["documents"][0].update(sentences=sents, entities=[])
+        path = tmp_path / "c.json"
+        write_json_atomic(path, data)
+        with pytest.raises(ParseError, match="d1"):
+            load_corpus(path, registry6)

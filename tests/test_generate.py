@@ -6,6 +6,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from docrte.backends import BackendError, ChatBackend, CountingBackend, ScriptedBackend
 from docrte.generate import (
@@ -14,11 +16,12 @@ from docrte.generate import (
     generate_corpus,
     ground_entity_mentions,
     ground_support,
+    lowered_sentences,
     run_chain,
     _numbered_lines,
     _strip_line_prefix,
 )
-from docrte.model import validate_document
+from docrte.model import EntityMention, validate_document
 from docrte.prompts import PromptLibrary
 from docrte.simulate import (
     build_world,
@@ -69,7 +72,28 @@ class TestJsonExtraction:
 # grounding
 
 
+def _ground_each_sentence(name, sentences, etype):
+    """Reference grounding: joins and lowercases each sentence on every call."""
+    target = " ".join(name.split()).lower()
+    mentions = []
+    for sent_id, tokens in enumerate(sentences if target else ()):
+        joined = " ".join(tokens).lower()
+        pos = joined.find(target)
+        while pos != -1:
+            end = pos + len(target)
+            if (pos == 0 or joined[pos - 1] == " ") and (end == len(joined) or joined[end] == " "):
+                start = joined[:pos].count(" ")
+                mentions.append(EntityMention(name=name, sent_id=sent_id, start=start,
+                                              end=start + target.count(" ") + 1, etype=etype))
+                break
+            pos = joined.find(target, pos + 1)
+    return mentions
+
+
 class TestGrounding:
+    # case variants, tokens inside other tokens, and "İ", whose lowercase form
+    # is two characters long
+    TOKENS = ["Ada", "ADA", "ada", "Adalbert", "da", "Lovelace", "lovelace", "İ", "i̇", ".", "-"]
     SENTENCES = [
         ["Ada", "Lovelace", "wrote", "the", "notes", "."],
         ["The", "notes", "cite", "ADA", "LOVELACE", "often", "."],
@@ -86,6 +110,16 @@ class TestGrounding:
 
     def test_missing_name_yields_no_mentions(self):
         assert ground_entity_mentions("Charles Babbage", self.SENTENCES, "PER") == []
+
+    @given(st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=6),
+                    min_size=1, max_size=4),
+           st.lists(st.sampled_from(TOKENS), max_size=3))
+    def test_lowered_sentences_give_the_same_mentions(self, sentences, name_tokens):
+        name = " ".join(name_tokens)
+        expected = _ground_each_sentence(name, sentences, "PER")
+        assert ground_entity_mentions(name, sentences, "PER") == expected
+        lowered = lowered_sentences(sentences)
+        assert ground_entity_mentions(name, sentences, "PER", lowered) == expected
 
     def test_support_maps_to_sentence_ids(self):
         support = ["The notes cite ADA LOVELACE often .", "not in the document"]

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from docrte.model import (
+    NAME_KEY_CACHE,
     Corpus,
     Document,
     Entity,
@@ -41,6 +42,17 @@ class TestNormalizeEntityKey:
     def test_idempotent(self, name):
         once = normalize_entity_key(name)
         assert normalize_entity_key(once) == once
+
+    def test_blank_name_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(EntityKeyError):
+                normalize_entity_key(" \t ")
+
+    def test_memo_stays_bounded(self):
+        for i in range(NAME_KEY_CACHE + 50):
+            assert normalize_entity_key(f" Name  {i}") == f"name {i}"
+        info = normalize_entity_key.cache_info()
+        assert info.maxsize == NAME_KEY_CACHE and info.currsize <= NAME_KEY_CACHE
 
 
 class TestRelationRegistry:
@@ -164,7 +176,46 @@ class TestFactKey:
         assert fact_keys(doc) == {FactKey("un", "who", "P1")}
 
 
+def _per_token_sentence_error(doc_id, s, sent):
+    """The per-token sentence rule, as (exception type, message) or None."""
+    if not sent:
+        return ValidationError, f"{doc_id}: sentence {s} is empty"
+    for tok in sent:
+        try:
+            if not tok or tok.split() != [tok]:
+                return ValidationError, f"{doc_id}: sentence {s} has non-token entry {tok!r}"
+        except AttributeError as exc:
+            return AttributeError, str(exc)
+    return None
+
+
+# empty and space-bearing tokens, and whitespace other than " " that str.split
+# also splits on
+AWKWARD_TOKENS = ["", " a", "a b", "\xa0", "\u2028", "\x1c", "\u3000"]
+
+
 class TestValidation:
+    @given(st.lists(st.one_of(st.sampled_from(AWKWARD_TOKENS + ["a", "Bb", "."]),
+                              st.text(max_size=3), st.integers(-1, 1)), max_size=5))
+    @example(["a", ""])
+    @example([" a"])
+    @example(["a b", "c"])
+    @example(["a", "\xa0"])
+    @example(["\u2028"])
+    @example(["a", "\x1c", "b"])
+    @example(["\u3000"])
+    @example(["a", "b"])
+    @example([])
+    def test_sentence_check_matches_the_per_token_rule(self, sent):
+        doc = Document(doc_id="d1", title="t", sentences=[["ok"], sent], entities=[], labels=[])
+        expected = _per_token_sentence_error("d1", 1, sent)
+        try:
+            validate_document(doc)
+        except (ValidationError, AttributeError) as exc:
+            assert (type(exc), str(exc)) == expected
+        else:
+            assert expected is None
+
     def test_valid_document_passes(self, registry6):
         doc = build_doc("d1", ["Acme Corp", "Bob Alice"], [("Acme Corp", "Bob Alice", "R2")])
         validate_document(doc, registry6)

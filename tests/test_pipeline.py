@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import docrte
-from docrte.backends import CassetteBackend, CountingBackend
+from docrte.backends import CassetteBackend, CountingBackend, ScriptedBackend
 from docrte.cli import main
 from docrte.config import PipelineConfig, load_config
 from docrte.docio import canonical_dumps, load_corpus
@@ -26,7 +26,7 @@ from docrte.pipeline import (
     StageError,
 )
 from docrte.pseudo import OraclePredictor, PredictorError
-from docrte.simulate import write_demo_inputs
+from docrte.simulate import chat_script, mock_generation_corpus, write_demo_inputs
 
 PIPELINE_CONFIG = {
     "registry": "registry.json",
@@ -513,6 +513,56 @@ class TestMockBackend:
         make_runner(workspace, chat_backend_factory=keeping).run(["split", "generate"])
         assert len(built) == len(PIPELINE_CONFIG["seeds"])
         assert all(backend.calls == [] for backend in built)
+
+
+def pseudo_bytes(run_dir):
+    return {seed: (Path(run_dir) / f"pseudo/pseudo_{seed}.json").read_bytes()
+            for seed in PIPELINE_CONFIG["seeds"]}
+
+
+class TestWorldHandoff:
+    """Pseudo-label's mock oracle reuses the truth corpus of the world that
+    generate built in the same run, and builds the world itself otherwise."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        seeds = []
+
+        def counting(registry, unseen, seen, seed, *rest):
+            seeds.append(seed)
+            return mock_generation_corpus(registry, unseen, seen, seed, *rest)
+
+        monkeypatch.setattr("docrte.pipeline.mock_generation_corpus", counting)
+        return seeds
+
+    def test_cold_run_builds_each_world_once(self, workspace, builds):
+        make_runner(workspace).run()
+        assert builds == PIPELINE_CONFIG["seeds"]
+
+    def test_pseudo_label_alone_rebuilds_the_world(self, workspace, builds):
+        runner = make_runner(workspace)
+        runner.run()
+        before = pseudo_bytes(runner.run_dir)
+        builds.clear()
+        outcomes = make_runner(workspace).run(["pseudo-label"], force=True)
+        assert outcome_map(outcomes) == {"pseudo-label": "ran"}
+        assert builds == PIPELINE_CONFIG["seeds"]
+        assert pseudo_bytes(runner.run_dir) == before
+
+    def test_chat_factory_without_the_default_backend(self, workspace, tmp_path):
+        def own_world(runner, seed, spec):
+            cfg = runner.config
+            world, _, corrupted = mock_generation_corpus(
+                runner.registry, sorted(spec.unseen), sorted(spec.seen), seed,
+                cfg.docs_per_relation, cfg.n_related, cfg.mock)
+            return ScriptedBackend(chat_script(world, corrupted))
+
+        default = make_runner(workspace)
+        default.run()
+        custom = PipelineRunner(load_config(workspace, run_dir=str(tmp_path / "custom")),
+                                chat_backend_factory=own_world)
+        custom.run()
+        assert pseudo_bytes(custom.run_dir) == pseudo_bytes(default.run_dir)
 
 
 class TestDeterminism:
