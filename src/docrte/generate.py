@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Sequence
@@ -496,16 +497,25 @@ def ground_entity_mentions(
     return mentions
 
 
+def normalized_sentences(sentences: Sequence[Sequence[str]]) -> list[str]:
+    """Each sentence space-joined and normalized, as support grounding matches it."""
+    return [_norm_text(" ".join(tokens)) for tokens in sentences]
+
+
 def ground_support(
-    support: Sequence[str], sentences: Sequence[Sequence[str]]
+    support: Sequence[str], sentences: Sequence[Sequence[str]],
+    rendered: Sequence[str] | None = None,
 ) -> tuple[list[int], list[str]]:
     """Map quoted support sentences to sentence indices by normalized substring.
 
     A quote matches a sentence when either normalized string contains the
     other (models quote fragments and over-quote with punctuation changes).
-    Returns (sorted evidence indices, quotes that matched nothing).
+    Returns (sorted evidence indices, quotes that matched nothing).  A caller
+    grounding several labels in one document passes
+    ``normalized_sentences(sentences)`` as ``rendered``.
     """
-    rendered = [_norm_text(" ".join(tokens)) for tokens in sentences]
+    if rendered is None:
+        rendered = normalized_sentences(sentences)
     evidence: set[int] = set()
     unmatched: list[str] = []
     for quote in support:
@@ -555,7 +565,9 @@ def finalize_and_parse(
         raw_sentences = data["sentences"]
         if not isinstance(raw_sentences, list) or not raw_sentences:
             raise _ParseProblem("'sentences' must be a non-empty list of strings")
-        sentences = [str(s).split() for s in raw_sentences]
+        # a run keeps generated corpora in memory for later stages, and a
+        # corpus repeats a small vocabulary: share each token's string
+        sentences = [list(map(sys.intern, str(s).split())) for s in raw_sentences]
         sentences = [s for s in sentences if s]
         if not sentences:
             raise _ParseProblem("all sentences are empty after tokenization")
@@ -595,6 +607,7 @@ def finalize_and_parse(
         labels: list[TripletLabel] = []
         if not isinstance(data["triplets"], list):
             raise _ParseProblem("'triplets' must be a list")
+        rendered = normalized_sentences(sentences)
         for row in data["triplets"]:
             if not isinstance(row, dict):
                 report.dropped_triplets.append(f"{row!r}: not an object")
@@ -631,7 +644,7 @@ def finalize_and_parse(
                 prior_reason, prior_support = prior_map[(head_key, tail_key, rel.id)]
                 reason = reason or (prior_reason or None)
                 support = support or list(prior_support)
-            evidence, unmatched = ground_support(support, sentences)
+            evidence, unmatched = ground_support(support, sentences, rendered)
             report.unmatched_support.extend(unmatched)
             labels.append(
                 TripletLabel(

@@ -14,11 +14,19 @@ every stage reruns it first.  All artifact writes are atomic (write to a
 temp file, then rename), which keeps a crash from leaving a half-written
 file that a resume would mistake for a completed one.
 
-With the mock backend and predictor, pseudo-label's oracle reuses the truth
-corpus of the mock world that generate built for the same seed in the same
-:meth:`PipelineRunner.run`; when pseudo-label runs without generate (alone,
-after a skipped generate, or behind a custom chat factory) it rebuilds the
-world, which is a pure function of the config, seed and split.
+Within one :meth:`PipelineRunner.run`, a generated corpus is handed to the
+later stages that load it without being read back: ``synthetic_<seed>``
+from generate to pseudo-label and denoise, ``denoised_<seed>`` from denoise
+to finetune-data-denoised.  A stage takes the object only when the digest of
+the bytes written equals the digest it has just checked on disk; otherwise,
+and in a stage run on its own, it loads the file.  A corpus is dropped after
+its last reader ran and when the run ends.  Split's views and every other
+input are always read from disk.  With the mock backend and predictor,
+pseudo-label's oracle likewise reuses the truth corpus of the mock world that
+generate built for the same seed in the same run; when pseudo-label runs
+without generate (alone, after a skipped generate, or behind a custom chat
+factory) it rebuilds the world, which is a pure function of the config,
+seed and split.
 
 Run directory layout::
 
@@ -44,7 +52,7 @@ from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import reduce
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .backends import CassetteBackend, ChatBackend, LiveChatBackend, RateLimiter, ScriptedBackend
 from .config import PipelineConfig
@@ -52,6 +60,7 @@ from .denoise import denoise
 from .docio import (
     ParseError,
     canonical_dumps,
+    compact_array_chunks,
     file_digest,
     load_corpus,
     load_docred,
@@ -59,6 +68,7 @@ from .docio import (
     load_registry,
     save_corpus,
     sha256_text,
+    write_chunks_atomic,
     write_json_atomic,
     write_text_atomic,
 )
@@ -158,8 +168,10 @@ class Stage:
     keys to run-file names with a ``{seed}`` slot.  ``params`` names the
     config values the outputs depend on; ``params_when`` adds more while a
     config field has a given value.  ``sources`` gives the config-named files
-    read.  The runner calls ``_stage_<name>(seed)`` for every seed, then the
-    ``finish`` method, if any, with every seed's result.
+    read.  ``loads`` names the read keys that are corpora the runner may hand
+    over in memory from an earlier stage of the same run.  The runner calls
+    ``_stage_<name>(seed)`` for every seed, then the ``finish`` method, if
+    any, with every seed's result.
     """
 
     name: str
@@ -168,6 +180,7 @@ class Stage:
     params: tuple[str, ...] = ()
     params_when: Mapping[tuple[str, str], tuple[str, ...]] = field(default_factory=dict)
     sources: Callable[[PipelineConfig], dict[str, Path]] = _registry_source
+    loads: tuple[str, ...] = ()
     finish: str | None = None
     finish_writes: tuple[str, ...] = ()
 
@@ -215,17 +228,18 @@ STAGES: dict[str, Stage] = {stage.name: stage for stage in (
           params=("group_size", "keep_empty_prob", "instruction")),
     Stage("pseudo-label", reads={"generate": ("synthetic",), "split": ("spec",)},
           writes={"pseudo": "pseudo/pseudo_{seed}.json"},
-          params=("predictor", "instruction"),
+          params=("predictor", "instruction"), loads=("synthetic",),
           params_when={("predictor", "mock"): MOCK_WORLD + (
                            "mock.pseudo_drop_prob", "docs_per_relation", "n_related"),
                        ("predictor", "process"): ("predictor_argv",),
                        ("predictor", "http"): ("predictor_url",)}),
     Stage("denoise",
           reads={"generate": ("synthetic",), "pseudo-label": ("pseudo",), "split": ("spec",)},
-          writes={key: f"denoise/{key}_{{seed}}.json" for key in ("denoised", "kg", "report")}),
+          writes={key: f"denoise/{key}_{{seed}}.json" for key in ("denoised", "kg", "report")},
+          loads=("synthetic",)),
     Stage("finetune-data-denoised", reads={"denoise": ("denoised",), "split": ("spec",)},
           writes={"samples": "finetune/denoised_{seed}.jsonl"},
-          params=("keep_empty_prob", "instruction")),
+          params=("keep_empty_prob", "instruction"), loads=("denoised",)),
     # m and mixed_policy are echoed in the report
     Stage("evaluate", reads={"split": ("spec", "dev", "test"), "denoise": ("denoised",)},
           writes={"scores_dev": "eval/dev_{seed}.json",
@@ -249,6 +263,14 @@ STAGE_ORDER = tuple(STAGES)
 # about 900 collections that freed about 1,100 objects in all.  At this value
 # it makes three.
 STAGE_GC_GEN0 = 100_000
+
+
+class _Held(NamedTuple):
+    """A corpus written in the current run, kept for a later stage of it."""
+
+    digest: str  # of the bytes written
+    corpus: Corpus
+    last_reader: str  # the stage after which it is dropped
 
 
 @dataclass
@@ -342,6 +364,13 @@ class PipelineRunner:
         # generate built in the current run(), by (seed, spec), so a run builds
         # each world once; an oracle holds far less memory than its corpus
         self._oracles: dict[tuple[int, SplitSpec], OraclePredictor] = {}
+        # the stages the current run() has still to run after the one running
+        # now; empty outside run(), so a bare run_stage hands nothing over
+        self._later: tuple[str, ...] = ()
+        # corpora written in the current run() for later stages of it, by run file
+        self._held: dict[str, _Held] = {}
+        # the input digests recorded by the stage running now
+        self._inputs: dict[str, str] = {}
 
     # -- small helpers ------------------------------------------------------
 
@@ -444,7 +473,7 @@ class PipelineRunner:
             raise StageError(f"unknown stage: {stage!r}")
         entry = STAGES[stage]
         self._check_deps(stage)
-        inputs = self._compute_inputs(stage)
+        inputs = self._inputs = self._compute_inputs(stage)
         manifest = self.read_manifest(stage)
         if (
             not force
@@ -505,14 +534,42 @@ class PipelineRunner:
         for stage in wanted:
             if stage not in STAGES:
                 raise StageError(f"unknown stage: {stage!r}")
-        ordered = [s for s in STAGE_ORDER if s in wanted]
+        ordered = tuple(s for s in STAGE_ORDER if s in wanted)
         with run_lock(self.run_dir):
             self._fresh = {}
             self._config_written = False
+            outcomes = []
             try:
-                return [self.run_stage(stage, force=force) for stage in ordered]
+                for i, stage in enumerate(ordered):
+                    self._later = ordered[i + 1:]
+                    outcomes.append(self.run_stage(stage, force=force))
+                    self._held = {rel: held for rel, held in self._held.items()
+                                  if held.last_reader != stage}
+                return outcomes
             finally:
                 self._oracles.clear()
+                self._held.clear()
+                self._later = ()
+
+    # -- corpora handed over within a run -----------------------------------
+
+    def _save_corpus(self, stage: str, seed: int, key: str, corpus: Corpus) -> None:
+        """Write output ``key`` of ``stage``; keep it for the later stages of
+        this run that load it."""
+        rel = STAGES[stage].outputs(seed)[key]
+        digest = save_corpus(corpus, self.path(rel))
+        readers = [s for s in self._later if stage in STAGES[s].reads and key in STAGES[s].loads]
+        if readers:
+            self._held[rel] = _Held(digest, corpus, readers[-1])
+
+    def _load_corpus(self, stage: str, seed: int, key: str) -> Corpus:
+        """Input ``key`` of ``stage``: the corpus written earlier in this run
+        if the file holds what was written, else the file loaded."""
+        rel = STAGES[stage].inputs(seed)[key]
+        held = self._held.get(rel)
+        if held is not None and held.digest == self._inputs.get(rel):
+            return held.corpus
+        return load_corpus(self.path(rel), self.registry)
 
     # -- transports -----------------------------------------------------------
 
@@ -608,8 +665,8 @@ class PipelineRunner:
             backend, sorted(spec.unseen), self.registry, cfg.chain(),
             prompts=PromptLibrary(cfg.templates_dir), parallelism=cfg.parallelism,
         )
-        save_corpus(corpus, files["synthetic"])
-        write_json_atomic(files["records"], [r.to_json() for r in records], compact=True)
+        self._save_corpus("generate", seed, "synthetic", corpus)
+        write_chunks_atomic(files["records"], compact_array_chunks(r.to_json() for r in records))
 
     def _stage_finetune_data(self, seed: int) -> None:
         cfg = self.config
@@ -626,7 +683,7 @@ class PipelineRunner:
         cfg = self.config
         files = self._files("pseudo-label", seed)
         spec = load_split_spec(files["spec"])
-        synthetic = load_corpus(files["synthetic"], self.registry)
+        synthetic = self._load_corpus("pseudo-label", seed, "synthetic")
         predictor = self.predictor_factory(self, seed, spec)
         labels = infer_pseudo_labels(
             predictor, synthetic, sorted(spec.unseen), cfg.instruction, self.registry,
@@ -636,10 +693,10 @@ class PipelineRunner:
     def _stage_denoise(self, seed: int) -> None:
         files = self._files("denoise", seed)
         spec = load_split_spec(files["spec"])
-        synthetic = load_corpus(files["synthetic"], self.registry)
+        synthetic = self._load_corpus("denoise", seed, "synthetic")
         pseudo = PseudoLabelSet.from_json(load_json(files["pseudo"]))
         denoised, report, rows = denoise(synthetic, pseudo.fact_sets(), sorted(spec.unseen))
-        save_corpus(denoised, files["denoised"])
+        self._save_corpus("denoise", seed, "denoised", denoised)
         write_json_atomic(files["kg"], rows, compact=True)
         write_json_atomic(files["report"], report.to_json())
 
@@ -647,7 +704,7 @@ class PipelineRunner:
         cfg = self.config
         files = self._files("finetune-data-denoised", seed)
         spec = load_split_spec(files["spec"])
-        denoised = load_corpus(files["denoised"], self.registry)
+        denoised = self._load_corpus("finetune-data-denoised", seed, "denoised")
         groups = [RelationGroup(index=0, relations=tuple(sorted(spec.unseen)))]
         policy = FinetunePolicy(instruction=cfg.instruction,
                                 keep_empty_prob=cfg.keep_empty_prob, seed=seed)

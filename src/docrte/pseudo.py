@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .docio import write_text_atomic
+from .docio import write_chunks_atomic
 from .generate import parse_triplet_lines
 from .model import (
     Corpus,
@@ -207,7 +207,8 @@ def write_finetune_file(samples: Sequence[FinetuneSample], path: Path | str) -> 
     and ``\n`` is the two characters backslash and ``n``.  An empty list
     writes an empty file.  Escaping maps every character on its own, so each
     distinct string is escaped once and the pieces are joined: a document's
-    text, shared by one sample per relation group, is escaped once.
+    text, shared by one sample per relation group, is escaped once.  Lines
+    are streamed to the file one at a time.
     """
     escaped: dict[str, str] = {}
 
@@ -217,12 +218,11 @@ def write_finetune_file(samples: Sequence[FinetuneSample], path: Path | str) -> 
             out = escaped[text] = json.dumps(text, ensure_ascii=False)[1:-1]
         return out
 
-    lines = [
+    write_chunks_atomic(path, (
         f'{{"input": "{esc(s.document_text)}\\nRelations: {esc(s.relation_menu)}", '
         f'"instruction": "{esc(s.instruction)}", "output": "{esc(s.target)}"}}\n'
         for s in samples
-    ]
-    write_text_atomic(path, "".join(lines))
+    ))
 
 
 # ---------------------------------------------------------------------------

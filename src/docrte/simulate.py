@@ -87,8 +87,10 @@ class SimEntity:
     name: str
     etype: str
 
-    @property
+    @cached_property
     def key(self) -> str:
+        """The normalized name, computed on first use; not a field, so
+        equality and hash stay those of ``(name, etype)``."""
         return " ".join(self.name.split()).casefold()
 
 

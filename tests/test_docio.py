@@ -4,14 +4,20 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docrte.docio import (
     CORPUS_VERSION,
     CorpusFormatError,
     ParseError,
     canonical_dumps,
+    compact_array_chunks,
+    corpus_chunks,
     corpus_to_json,
     document_from_json,
     document_to_json,
@@ -23,10 +29,19 @@ from docrte.docio import (
     save_corpus,
     save_docred,
     sha256_text,
+    write_chunks_atomic,
     write_json_atomic,
     write_text_atomic,
 )
-from docrte.model import Corpus, ValidationError
+from docrte.model import (
+    PROVENANCES,
+    Corpus,
+    Document,
+    Entity,
+    EntityMention,
+    TripletLabel,
+    ValidationError,
+)
 
 from conftest import build_corpus, build_doc
 
@@ -81,6 +96,99 @@ class TestAtomicWrites:
         path = tmp_path / "x.txt"
         write_text_atomic(path, "payload")
         assert file_digest(path) == sha256_text("payload")
+
+
+# Characters JSON escapes or that a naive encoder gets wrong: quotes,
+# backslashes, control characters, non-ASCII and the line separators.
+TRICKY = st.text(alphabet=st.sampled_from(
+    list('ab "\\/\n\t\r\x00\x01\x1f\x7fé€«»Zoë\u2028\u2029') + ["\U0001F600"]),
+    max_size=8)
+NAME = TRICKY.filter(lambda text: text.strip())
+
+
+@st.composite
+def documents(draw):
+    sentences = draw(st.lists(st.lists(TRICKY, min_size=1, max_size=3), min_size=1, max_size=3))
+    mentions = st.builds(EntityMention, name=TRICKY, sent_id=st.integers(0, 5),
+                         start=st.integers(0, 3), end=st.integers(4, 6),
+                         etype=st.sampled_from(["PER", "ORG"]))
+    entities = draw(st.lists(st.builds(Entity, canonical_name=NAME,
+                                       mentions=st.lists(mentions, max_size=2)),
+                             min_size=2, max_size=3))
+    labels = draw(st.lists(st.builds(
+        TripletLabel, head=st.just(0), tail=st.just(1), relation=TRICKY,
+        evidence=st.lists(st.integers(0, 5), max_size=2),
+        reason=st.none() | TRICKY, support=st.none() | st.lists(TRICKY, max_size=2)),
+        max_size=2))
+    return Document(doc_id=draw(TRICKY), title=draw(TRICKY), sentences=sentences,
+                    entities=entities, labels=labels)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | TRICKY,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TRICKY, inner, max_size=3),
+    max_leaves=8)
+
+
+class TestStreamingWriter:
+    @given(st.lists(documents(), max_size=3), st.sampled_from(PROVENANCES))
+    @settings(max_examples=60, deadline=None)
+    def test_streamed_corpus_is_the_canonical_compact_dump(self, docs, provenance):
+        corpus = Corpus(documents=docs, provenance=provenance)
+        expected = canonical_dumps(corpus_to_json(corpus), compact=True)
+        assert "".join(corpus_chunks(corpus)) == expected
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.json"
+            digest = save_corpus(corpus, path)
+            assert path.read_bytes() == expected.encode("utf-8")
+            assert digest == file_digest(path)
+
+    @given(st.lists(JSON_VALUES, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_array_chunks_are_the_canonical_compact_dump(self, items):
+        chunks = list(compact_array_chunks(iter(items)))
+        assert "".join(chunks) == canonical_dumps(items, compact=True)
+        assert len(chunks) == (len(items) + 1 if items else 1)
+
+    def test_every_writer_returns_the_digest_of_its_file(self, tmp_path, registry6):
+        corpus = build_corpus([build_doc("d1", ["Acme", "Zoë «Q»"], [("Acme", "Zoë «Q»", "R1")])],
+                              registry=registry6)
+        writes = {
+            "text": lambda p: write_text_atomic(p, "line\u2028two\n"),
+            "json": lambda p: write_json_atomic(p, {"b": ["é", 1]}),
+            "chunks": lambda p: write_chunks_atomic(p, iter(["a", "", "€\n"])),
+            "corpus": lambda p: save_corpus(corpus, p),
+            "docred": lambda p: save_docred(corpus, p),
+        }
+        for name, write in writes.items():
+            path = tmp_path / name
+            assert write(path) == file_digest(path), name
+
+    def test_docred_file_is_the_canonical_compact_dump(self, tmp_path, registry6):
+        corpus = build_corpus([build_doc("d1", ['A "x"', "B\\y"], [('A "x"', "B\\y", "R1")]),
+                               build_doc("d2", ["C"], [])], registry=registry6)
+        path = tmp_path / "docred.json"
+        save_docred(corpus, path)
+        text = path.read_text(encoding="utf-8")
+        assert text == canonical_dumps(json.loads(text), compact=True)
+        empty = tmp_path / "empty.json"
+        save_docred(Corpus(documents=[], provenance="human"), empty)
+        assert empty.read_text(encoding="utf-8") == "[]\n"
+
+    def test_failing_chunk_source_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_text_atomic(path, "old contents\n")
+
+        def chunks():
+            yield "new "
+            yield "partial"
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_chunks_atomic(path, chunks())
+        assert path.read_text(encoding="utf-8") == "old contents\n"
+        assert os.listdir(tmp_path) == ["out.json"]
 
 
 class TestRegistryLoading:

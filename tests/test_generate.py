@@ -17,6 +17,7 @@ from docrte.generate import (
     ground_entity_mentions,
     ground_support,
     lowered_sentences,
+    normalized_sentences,
     run_chain,
     _numbered_lines,
     _strip_line_prefix,
@@ -90,6 +91,22 @@ def _ground_each_sentence(name, sentences, etype):
     return mentions
 
 
+def _ground_support_per_call(support, sentences):
+    """Reference support grounding: renders every sentence on every call."""
+    rendered = [" ".join(" ".join(tokens).split()).casefold() for tokens in sentences]
+    evidence, unmatched = set(), []
+    for quote in support:
+        q = " ".join(quote.split()).casefold()
+        if not q:
+            continue
+        hits = [i for i, sent in enumerate(rendered) if q in sent or sent in q]
+        if hits:
+            evidence.update(hits)
+        else:
+            unmatched.append(quote)
+    return sorted(evidence), unmatched
+
+
 class TestGrounding:
     # case variants, tokens inside other tokens, and "İ", whose lowercase form
     # is two characters long
@@ -120,6 +137,20 @@ class TestGrounding:
         assert ground_entity_mentions(name, sentences, "PER") == expected
         lowered = lowered_sentences(sentences)
         assert ground_entity_mentions(name, sentences, "PER", lowered) == expected
+
+    # "ß" casefolds to "ss"; "\u2028" is whitespace to str.split
+    SUPPORT_TOKENS = TOKENS + ["Straße", "STRASSE", "\u2028", ""]
+
+    @given(st.lists(st.lists(st.sampled_from(TOKENS + ["Straße", "STRASSE"]),
+                             min_size=1, max_size=6),
+                    min_size=1, max_size=4),
+           st.lists(st.lists(st.sampled_from(SUPPORT_TOKENS), max_size=4).map(" ".join),
+                    max_size=4))
+    def test_normalized_sentences_give_the_same_evidence(self, sentences, support):
+        expected = _ground_support_per_call(support, sentences)
+        assert ground_support(support, sentences) == expected
+        rendered = normalized_sentences(sentences)
+        assert ground_support(support, sentences, rendered) == expected
 
     def test_support_maps_to_sentence_ids(self):
         support = ["The notes cite ADA LOVELACE often .", "not in the document"]
@@ -166,6 +197,18 @@ class TestChainHappyPath:
         assert len(assistant_turns) == 7
         validate_document(record.document, registry)
         assert any(lb.relation == rel for lb in record.document.labels)
+
+    def test_equal_document_tokens_share_one_string(self, world_kit):
+        registry, world, truth, corrupted = world_kit
+        backend = ScriptedBackend(chat_script(world, corrupted))
+        docs = [run_chain(backend, rel, registry, small_config(), doc_index=0).document
+                for rel in sorted(world.unseen)]
+        tokens = [tok for doc in docs for sent in doc.sentences for tok in sent]
+        first = {}
+        for tok in tokens:
+            first.setdefault(tok, tok)
+        assert len(first) < len(tokens)
+        assert all(tok is first[tok] for tok in tokens)
 
     def test_requests_strictly_extend_the_transcript(self, world_kit):
         registry, world, truth, corrupted = world_kit

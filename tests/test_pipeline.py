@@ -100,6 +100,7 @@ class TestStageGraph:
                 assert set(keys) <= set(STAGES[dep].writes), (name, dep)
             # a stage's files are looked up by key, so read and written keys differ
             assert not set(stage.inputs(1)) & set(stage.writes), name
+            assert set(stage.loads) <= set(stage.inputs(1)), name
 
     def test_every_config_field_is_a_param_or_declared_inert(self):
         config = PipelineConfig()
@@ -563,6 +564,117 @@ class TestWorldHandoff:
                                 chat_backend_factory=own_world)
         custom.run()
         assert pseudo_bytes(custom.run_dir) == pseudo_bytes(default.run_dir)
+
+
+GENERATED_CORPORA = ("generate/synthetic_", "denoise/denoised_")
+
+
+class TestCorpusHandoff:
+    """Within one run(), generated corpora reach the later stages that load
+    them without being read back from disk."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        paths = []
+
+        def recording(path, registry=None):
+            paths.append(Path(path).relative_to(Path(path).parents[1]).as_posix())
+            return load_corpus(path, registry)
+
+        monkeypatch.setattr("docrte.pipeline.load_corpus", recording)
+        return paths
+
+    def test_cold_run_loads_no_generated_corpus(self, workspace, loads):
+        make_runner(workspace).run()
+        assert loads and not [p for p in loads if p.startswith(GENERATED_CORPORA)]
+        assert [p for p in loads if p.startswith("split/train_")]
+
+    def test_handed_over_corpora_equal_their_files(self, workspace):
+        taken = []
+
+        class Checking(PipelineRunner):
+            def _load_corpus(self, stage, seed, key):
+                corpus = super()._load_corpus(stage, seed, key)
+                path = self.path(STAGES[stage].inputs(seed)[key])
+                # equal when taken, so pseudo-label left synthetic unmutated
+                # for denoise
+                assert corpus == load_corpus(path, self.registry)
+                taken.append((stage, seed, key, corpus))
+                return corpus
+
+        Checking(load_config(workspace)).run()
+        seeds = PIPELINE_CONFIG["seeds"]
+        assert [(stage, key) for stage, _, key, _ in taken] == (
+            [("pseudo-label", "synthetic")] * len(seeds) + [("denoise", "synthetic")] * len(seeds)
+            + [("finetune-data-denoised", "denoised")] * len(seeds))
+        by_seed = {(stage, seed): corpus for stage, seed, _, corpus in taken}
+        for seed in seeds:
+            assert by_seed["pseudo-label", seed] is by_seed["denoise", seed]
+
+    # evaluate reads denoised_<seed> for freshness only and never loads it
+    @pytest.mark.parametrize("stages", [["generate"], ["denoise", "evaluate"]])
+    def test_a_run_without_a_later_reader_holds_nothing(self, workspace, stages):
+        held = []
+
+        class Watching(PipelineRunner):
+            def _save_corpus(self, *args):
+                super()._save_corpus(*args)
+                held.append(len(self._held))
+
+        make_runner(workspace).run()
+        runner = Watching(load_config(workspace))
+        runner.run(stages, force=True)
+        assert held and set(held) == {0}
+        assert runner._held == {}
+
+    def test_a_bare_run_stage_holds_nothing(self, workspace, loads):
+        runner = make_runner(workspace)
+        runner.run_stage("split")
+        runner.run_stage("generate")
+        assert runner._held == {}
+        runner.run_stage("pseudo-label")
+        assert [p for p in loads if p.startswith("generate/synthetic_")]
+
+    def test_full_run_holds_nothing_once_it_returns(self, workspace):
+        runner = make_runner(workspace)
+        runner.run()
+        assert runner._held == {} and runner._later == ()
+
+    def test_failed_run_holds_nothing_once_it_raises(self, workspace):
+        def failing(runner, seed, spec):
+            assert runner._held  # synthetic_<seed> awaits pseudo-label and denoise
+            raise PredictorError("extractor is down")
+
+        runner = make_runner(workspace, predictor_factory=failing)
+        with pytest.raises(StageError, match="extractor is down"):
+            runner.run()
+        assert runner._held == {} and runner._later == ()
+
+    def test_digest_mismatch_loads_from_disk(self, workspace, loads, tmp_path):
+        class Mismatching(PipelineRunner):
+            def _save_corpus(self, *args):
+                super()._save_corpus(*args)
+                self._held = {rel: held._replace(digest="0" * 64)
+                              for rel, held in self._held.items()}
+
+        runner = Mismatching(load_config(workspace))
+        runner.run()
+        seeds = PIPELINE_CONFIG["seeds"]
+        assert sorted(p for p in loads if p.startswith(GENERATED_CORPORA)) == sorted(
+            [f"generate/synthetic_{seed}.json" for seed in seeds] * 2
+            + [f"denoise/denoised_{seed}.json" for seed in seeds])
+        reference = PipelineRunner(load_config(workspace, run_dir=str(tmp_path / "reference")))
+        reference.run()
+        assert run_tree_bytes(runner.run_dir) == run_tree_bytes(reference.run_dir)
+
+    def test_cold_run_equals_a_stage_by_stage_run(self, workspace, tmp_path):
+        whole = load_config(workspace, run_dir=str(tmp_path / "whole"))
+        staged = load_config(workspace, run_dir=str(tmp_path / "staged"))
+        PipelineRunner(whole).run()
+        for stage in STAGE_ORDER:
+            assert outcome_map(PipelineRunner(staged).run([stage])) == {stage: "ran"}
+        tree = run_tree_bytes(whole.run_dir)
+        assert tree and tree == run_tree_bytes(staged.run_dir)
 
 
 class TestDeterminism:

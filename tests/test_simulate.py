@@ -17,6 +17,7 @@ from docrte.docio import (
 from docrte.model import FactKey, fact_keys, validate_corpus
 from docrte.simulate import (
     MockWorldParams,
+    SimEntity,
     _fact_sentence,
     build_world,
     chat_script,
@@ -41,6 +42,33 @@ class TestSyntheticRegistry:
         registry = synthetic_registry(12)
         assert registry.ids()[0] == "R000"
         assert registry.ids()[-1] == "R011"
+
+
+class CountingName(str):
+    """A name that counts how often it is split, i.e. normalized."""
+
+    splits = 0
+
+    def split(self, *args):
+        CountingName.splits += 1
+        return super().split(*args)
+
+
+class TestSimEntity:
+    def test_key_is_normalized_once_per_entity(self):
+        CountingName.splits = 0
+        ent = SimEntity(CountingName("  Ada   LOVELACE "), "PER")
+        assert [ent.key for _ in range(5)] == ["ada lovelace"] * 5
+        assert hash(ent) == hash(SimEntity("  Ada   LOVELACE ", "PER"))
+        assert CountingName.splits == 1
+
+    def test_equality_and_hash_ignore_the_key(self):
+        seen, fresh = SimEntity("Ada", "PER"), SimEntity("Ada", "PER")
+        seen.key
+        assert seen == fresh and hash(seen) == hash(fresh)
+        assert {seen: 1}[fresh] == 1
+        assert SimEntity("Ada", "PER") != SimEntity("ADA", "PER")
+        assert SimEntity("Ada", "PER") != SimEntity("Ada", "ORG")
 
 
 @pytest.fixture(scope="module")
