@@ -10,7 +10,10 @@ predictions) are written compact, one line; small human-facing files
 Corpora, generation records and DocRED files are streamed one document or
 record at a time (:func:`compact_array_chunks`), so no whole-file tree or
 string is built; the bytes are those of :func:`canonical_dumps` with
-``compact=True``.
+``compact=True``.  Documents are built as dicts in sorted key order and
+encoded without a per-object key sort.  The layout of the generation records
+(a text table the transcripts refer to) belongs to :mod:`docrte.generate`
+(``records_chunks`` and ``load_records``).
 """
 from __future__ import annotations
 
@@ -104,14 +107,20 @@ def write_json_atomic(path: Path | str, obj: Any, compact: bool = False) -> str:
 
 _COMPACT = json.JSONEncoder(ensure_ascii=False, sort_keys=True, allow_nan=False,
                             separators=(",", ":"))
+# For dicts built in sorted key order: the same bytes without a sort per object.
+_COMPACT_AS_BUILT = json.JSONEncoder(ensure_ascii=False, allow_nan=False,
+                                     separators=(",", ":"))
 
 
-def compact_array_chunks(items: Iterable[Any], end: str = "\n") -> Iterator[str]:
+def compact_array_chunks(items: Iterable[Any], end: str = "\n",
+                         sorted_keys: bool = False) -> Iterator[str]:
     """``canonical_dumps(list(items), compact=True)``, one chunk per item;
-    ``end`` replaces its final newline."""
+    ``end`` replaces its final newline.  ``sorted_keys`` says every dict in
+    ``items`` already has its keys in sorted order, so none is sorted again."""
+    encode = (_COMPACT_AS_BUILT if sorted_keys else _COMPACT).encode
     sep = "["
     for item in items:
-        yield sep + _COMPACT.encode(item)
+        yield sep + encode(item)
         sep = ","
     yield ("[]" if sep == "[" else "]") + end
 
@@ -179,9 +188,14 @@ def load_registry(path: Path | str) -> RelationRegistry:
 # canonical corpus format
 
 
+# The *_to_json helpers build each dict in sorted key order, so corpora are
+# encoded without sorting keys per object, and pass token, evidence and
+# support lists through uncopied.
+
+
 def _mention_to_json(m: EntityMention) -> dict[str, Any]:
-    return {"name": m.name, "sent_id": m.sent_id, "start": m.start, "end": m.end,
-            "etype": m.etype}
+    return {"end": m.end, "etype": m.etype, "name": m.name, "sent_id": m.sent_id,
+            "start": m.start}
 
 
 def _entity_to_json(e: Entity) -> dict[str, Any]:
@@ -194,22 +208,22 @@ def _entity_to_json(e: Entity) -> dict[str, Any]:
 
 def _label_to_json(label: TripletLabel) -> dict[str, Any]:
     return {
+        "evidence": label.evidence,
         "head": label.head,
-        "tail": label.tail,
-        "relation": label.relation,
-        "evidence": list(label.evidence),
         "reason": label.reason,
-        "support": list(label.support) if label.support is not None else None,
+        "relation": label.relation,
+        "support": label.support,
+        "tail": label.tail,
     }
 
 
 def document_to_json(doc: Document) -> dict[str, Any]:
     return {
         "doc_id": doc.doc_id,
-        "title": doc.title,
-        "sentences": [list(sent) for sent in doc.sentences],
         "entities": [_entity_to_json(e) for e in doc.entities],
         "labels": [_label_to_json(lb) for lb in doc.labels],
+        "sentences": doc.sentences,
+        "title": doc.title,
     }
 
 
@@ -275,7 +289,8 @@ def corpus_chunks(corpus: Corpus) -> Iterator[str]:
     # "documents" sorts before the other keys, so the rest of the object
     # follows the array: its own encoding with "{" turned into ","
     yield '{"documents":'
-    yield from compact_array_chunks(map(document_to_json, corpus.documents), end="")
+    yield from compact_array_chunks(map(document_to_json, corpus.documents), end="",
+                                    sorted_keys=True)
     rest = _COMPACT.encode({"provenance": corpus.provenance, "version": CORPUS_VERSION})
     yield "," + rest[1:] + "\n"
 

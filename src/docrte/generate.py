@@ -15,6 +15,11 @@ model said before (the transcript is the memory).  Steps:
 Malformed answers get a bounded number of corrective retries; the retry turns
 stay in the transcript.  ``prompt_mode`` can collapse the chain into a single
 request (``vanilla`` or ``chain_of_thought``) that reuses the step-7 parser.
+
+Every chain's :class:`GenerationRecord` is kept for audit.  A records file
+(:func:`records_chunks`) stores each distinct transcript text once, in a
+table the turns refer to by index, and :func:`load_records` rebuilds the
+``to_json()`` rows from it (or reads the bare array older versions wrote).
 """
 from __future__ import annotations
 
@@ -23,10 +28,12 @@ import logging
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .backends import BackendError, ChatBackend, ChatTranscript, RequestMeta
+from .docio import ParseError, compact_array_chunks, load_json
 from .model import (
     ENTITY_TYPES,
     Corpus,
@@ -99,6 +106,9 @@ class GroundingReport:
     unmatched_support: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
+    def to_json(self) -> dict[str, list[str]]:
+        return {name: list(values) for name, values in vars(self).items()}
+
 
 @dataclass
 class GenerationRecord:
@@ -125,9 +135,60 @@ class GenerationRecord:
             "transcript": self.transcript.messages(),
             "accepted_turn_indices": list(self.accepted_turn_indices),
             "document": self.document.doc_id if self.document else None,
-            "grounding": asdict(self.grounding),
+            "grounding": self.grounding.to_json(),
             "failure": self.failure,
         }
+
+
+# A records file is {"records": [...], "texts": [...], "version": 1}: each
+# transcript turn is {"role": ..., "text_id": k} and "texts" holds every
+# distinct turn text once, in first-seen order.  A chain repeats the same
+# instruction templates, so most of a transcript's bytes are shared.
+RECORDS_VERSION = 1
+
+
+def records_chunks(records: Iterable[GenerationRecord]) -> Iterator[str]:
+    """The records file of ``records`` as canonical compact JSON, one chunk per
+    record and then one per text: the table is as large as the distinct
+    replies, so it is streamed too rather than encoded as one string."""
+    ids: dict[str, int] = {}
+
+    def row(record: GenerationRecord) -> dict[str, Any]:
+        out = record.to_json()
+        out["transcript"] = [{"role": t.role, "text_id": ids.setdefault(t.text, len(ids))}
+                             for t in record.transcript.turns]
+        return out
+
+    # the keys in sorted order: "records" < "texts" < "version"
+    yield '{"records":'
+    yield from compact_array_chunks(map(row, records), end="")
+    yield ',"texts":'
+    yield from compact_array_chunks(ids, end="")
+    yield f',"version":{RECORDS_VERSION}}}\n'
+
+
+def load_records(path: Path | str) -> list[dict[str, Any]]:
+    """The rows of a records file, equal to ``[r.to_json() for r in records]``.
+
+    Reads both the text-table layout of :func:`records_chunks` and the bare
+    array of ``to_json()`` rows that older versions wrote.
+    """
+    data = load_json(path)
+    if isinstance(data, list):
+        return data
+    texts = data.get("texts") if isinstance(data, dict) else None
+    if not isinstance(texts, list) or data.get("version") != RECORDS_VERSION:
+        raise ParseError(f"{path}: not a generation-records file of version {RECORDS_VERSION}")
+    try:
+        for row in data["records"]:
+            turns = row["transcript"]
+            if not all(0 <= t["text_id"] < len(texts) for t in turns):
+                raise IndexError("text_id out of range")
+            row["transcript"] = [{"role": t["role"], "text": texts[t["text_id"]]}
+                                 for t in turns]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ParseError(f"{path}: malformed generation record ({exc!r})") from exc
+    return data["records"]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ Run directory layout::
     split/spec_<seed>.json      sampled unseen relations
     split/{train,dev,test}_<seed>.json
     generate/synthetic_<seed>.json, generate/records_<seed>.json
+                                (records: one text table per file, see load_records)
     finetune/pretrain_<seed>.jsonl, finetune/denoised_<seed>.jsonl
     pseudo/pseudo_<seed>.json
     denoise/{denoised,kg,report}_<seed>.json
@@ -60,7 +61,6 @@ from .denoise import denoise
 from .docio import (
     ParseError,
     canonical_dumps,
-    compact_array_chunks,
     file_digest,
     load_corpus,
     load_docred,
@@ -80,7 +80,7 @@ from .evaluate import (
     load_predictions,
     save_predictions,
 )
-from .generate import ChainConfig, generate_corpus
+from .generate import ChainConfig, generate_corpus, records_chunks
 from .model import (
     Corpus,
     EntityKeyError,
@@ -666,7 +666,7 @@ class PipelineRunner:
             prompts=PromptLibrary(cfg.templates_dir), parallelism=cfg.parallelism,
         )
         self._save_corpus("generate", seed, "synthetic", corpus)
-        write_chunks_atomic(files["records"], compact_array_chunks(r.to_json() for r in records))
+        write_chunks_atomic(files["records"], records_chunks(records))
 
     def _stage_finetune_data(self, seed: int) -> None:
         cfg = self.config

@@ -1,5 +1,6 @@
 """Micro benchmarks for the mock world, corpus validation, mention grounding,
-relabeling, bulk JSON writes and finetune-data assembly.
+relabeling, bulk JSON writes (corpora and generation records) and
+finetune-data assembly.
 
 Each layer runs at two sizes; the larger one has four times the documents
 and four times the world facts, so near-linear code takes about four times
@@ -14,9 +15,17 @@ from __future__ import annotations
 
 import pytest
 
+from docrte.backends import ScriptedBackend
 from docrte.denoise import relabel_corpus
-from docrte.docio import save_corpus
-from docrte.generate import ground_entity_mentions, lowered_sentences
+from docrte.docio import save_corpus, write_chunks_atomic
+from docrte.generate import (
+    ChainConfig,
+    generate_corpus,
+    ground_entity_mentions,
+    load_records,
+    lowered_sentences,
+    records_chunks,
+)
 from docrte.model import fact_keys, validate_corpus
 from docrte.pseudo import (
     FinetunePolicy,
@@ -27,6 +36,7 @@ from docrte.pseudo import (
 from docrte.simulate import (
     MockWorldParams,
     build_world,
+    chat_script,
     mock_generation_corpus,
     synthetic_registry,
     world_documents,
@@ -106,6 +116,23 @@ def test_save_corpus(benchmark, scenario, tmp_path):
     path = tmp_path / "corpus.json"
     benchmark(save_corpus, corpus, path)
     assert path.stat().st_size > 0
+
+
+@pytest.mark.benchmark(group="bulk_json_write")
+@pytest.mark.parametrize("size", list(SIZES))
+def test_write_records(benchmark, size, tmp_path):
+    facts_per_relation, docs_per_relation = SIZES[size]
+    registry = synthetic_registry(3 * UNSEEN)
+    ids = registry.ids()
+    world, _, corrupted = mock_generation_corpus(
+        registry, ids[:UNSEEN], ids[UNSEEN:], 1, docs_per_relation, 2,
+        MockWorldParams(facts_per_relation=facts_per_relation))
+    _, records = generate_corpus(
+        ScriptedBackend(chat_script(world, corrupted), record_calls=False), ids[:UNSEEN],
+        registry, ChainConfig(n_related=2, docs_per_relation=docs_per_relation))
+    path = tmp_path / "records.json"
+    benchmark(lambda: write_chunks_atomic(path, records_chunks(records)))
+    assert load_records(path) == [r.to_json() for r in records]
 
 
 @pytest.mark.benchmark(group="finetune_data")

@@ -8,8 +8,8 @@ corpora are handed from stage to stage in memory; the script times each
 stage around the runner's ``run_stage`` calls.  Then a second runner makes a
 no-op ``run()``.  Each size runs in a child process of its own, so its peak
 RSS is its alone.  The script prints per-stage wall time, the total, the
-no-op rerun, peak RSS, the bytes in the run directory and the line count of
-``src/docrte``.
+no-op rerun, peak RSS, the bytes in the run directory (in all and per
+top-level folder) and the line count of ``src/docrte``.
 
 Not collected by the default test run (its file name does not match
 ``test_*.py``).  Run it on its own::
@@ -72,13 +72,20 @@ def measure(size: str, work: Path) -> dict:
     if any(o.status != "skipped" for o in outcomes):
         raise RuntimeError(f"the no-op rerun ran stages: {outcomes}")
     run_dir = Path(config.run_dir)
+    folders: dict[str, float] = {}
+    for path in run_dir.rglob("*"):
+        if path.is_file():
+            parts = path.relative_to(run_dir).parts
+            top = parts[0] + "/" if len(parts) > 1 else "top-level files"
+            folders[top] = folders.get(top, 0.0) + path.stat().st_size / 1e6
     return {
         "size": size,
         "stages_s": stages,
         "total_s": total,
         "noop_s": noop,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
-        "run_dir_mb": sum(p.stat().st_size for p in run_dir.rglob("*") if p.is_file()) / 1e6,
+        "run_dir_mb": sum(folders.values()),
+        "folders_mb": dict(sorted(folders.items())),
     }
 
 
@@ -107,6 +114,8 @@ def main(argv: list[str]) -> None:
     rows += [(label, [r[key] for r in results])
              for label, key in (("total (s)", "total_s"), ("no-op rerun (s)", "noop_s"),
                                 ("peak RSS (MB)", "peak_rss_mb"), ("run dir (MB)", "run_dir_mb"))]
+    rows += [(f"  {folder} (MB)", [r["folders_mb"].get(folder, 0.0) for r in results])
+             for folder in results[0]["folders_mb"]]
     print(f"{'':<28}" + "".join(f"{r['size']:>10}" for r in results))
     for label, values in rows:
         print(f"{label:<28}" + "".join(f"{v:>10.2f}" for v in values))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from docrte.model import (
     Corpus,
@@ -14,6 +15,13 @@ from docrte.model import (
     normalize_entity_key,
 )
 from docrte.simulate import synthetic_registry
+
+
+# Characters JSON escapes or that a naive encoder gets wrong: quotes,
+# backslashes, control characters, non-ASCII and the line separators.
+TRICKY = st.text(alphabet=st.sampled_from(
+    list('ab "\\/\n\t\r\x00\x01\x1f\x7fé€«»Zoë\u2028\u2029') + ["\U0001F600"]),
+    max_size=8)
 
 
 def make_registry(*pairs: tuple[str, str]) -> RelationRegistry:

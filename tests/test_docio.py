@@ -43,7 +43,7 @@ from docrte.model import (
     ValidationError,
 )
 
-from conftest import build_corpus, build_doc
+from conftest import TRICKY, build_corpus, build_doc
 
 
 class TestCanonicalDumps:
@@ -98,11 +98,6 @@ class TestAtomicWrites:
         assert file_digest(path) == sha256_text("payload")
 
 
-# Characters JSON escapes or that a naive encoder gets wrong: quotes,
-# backslashes, control characters, non-ASCII and the line separators.
-TRICKY = st.text(alphabet=st.sampled_from(
-    list('ab "\\/\n\t\r\x00\x01\x1f\x7fé€«»Zoë\u2028\u2029') + ["\U0001F600"]),
-    max_size=8)
 NAME = TRICKY.filter(lambda text: text.strip())
 
 
@@ -143,6 +138,24 @@ class TestStreamingWriter:
             digest = save_corpus(corpus, path)
             assert path.read_bytes() == expected.encode("utf-8")
             assert digest == file_digest(path)
+
+    @given(documents())
+    @settings(max_examples=60, deadline=None)
+    def test_document_dicts_are_built_in_sorted_key_order(self, doc):
+        # corpus_chunks encodes documents without sorting keys, which gives
+        # canonical bytes only while every nested dict is built sorted
+        def dicts(value):
+            if isinstance(value, dict):
+                yield value
+                value = list(value.values())
+            if isinstance(value, list):
+                for item in value:
+                    yield from dicts(item)
+
+        found = list(dicts(document_to_json(doc)))
+        assert {"doc_id", "canonical_name", "sent_id"} & {k for d in found for k in d}
+        for d in found:
+            assert list(d) == sorted(d)
 
     @given(st.lists(JSON_VALUES, max_size=4))
     @settings(max_examples=60, deadline=None)

@@ -3,21 +3,35 @@ from __future__ import annotations
 
 import json
 import sys
+import tempfile
 import time
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from docrte.backends import BackendError, ChatBackend, CountingBackend, ScriptedBackend
+from docrte.backends import (
+    BackendError,
+    ChatBackend,
+    ChatTranscript,
+    CountingBackend,
+    ScriptedBackend,
+)
+from docrte.docio import ParseError, canonical_dumps, write_chunks_atomic
 from docrte.generate import (
     ChainConfig,
+    GenerationRecord,
+    GroundingReport,
     extract_json_block,
     generate_corpus,
     ground_entity_mentions,
     ground_support,
+    load_records,
     lowered_sentences,
     normalized_sentences,
+    records_chunks,
     run_chain,
     _numbered_lines,
     _strip_line_prefix,
@@ -32,6 +46,8 @@ from docrte.simulate import (
     world_documents,
 )
 from docrte.model import fact_keys
+
+from conftest import TRICKY
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +415,84 @@ class TestCorpusGeneration:
         with pytest.raises(Exception, match="no chain produced"):
             generate_corpus(ExplodingBackend(), sorted(world.unseen), registry,
                             small_config())
+
+
+# ---------------------------------------------------------------------------
+# the records file
+
+
+@st.composite
+def generation_records(draw):
+    """Records whose transcripts draw from a small pool, so texts repeat."""
+    pool = draw(st.lists(TRICKY.filter(str.strip), min_size=1, max_size=4))
+    text = st.sampled_from(pool)
+    records = []
+    for i in range(draw(st.integers(0, 3))):
+        transcript = ChatTranscript()
+        for _ in range(draw(st.integers(0, 1))):
+            transcript.add_system(draw(text))
+        for turn in range(draw(st.integers(0, 5))):
+            (transcript.add_assistant if turn % 2 else transcript.add_user)(draw(text))
+        failure = draw(st.none() | st.fixed_dictionaries({"step": TRICKY, "message": TRICKY}))
+        grounding = GroundingReport(*(draw(st.lists(TRICKY, max_size=2)) for _ in range(5)))
+        records.append(GenerationRecord(
+            unseen_relation=draw(TRICKY), doc_id=f"d{i}", related=draw(st.lists(TRICKY, max_size=2)),
+            transcript=transcript, grounding=grounding,
+            accepted_turn_indices=draw(st.lists(st.integers(0, 5), max_size=3)), failure=failure))
+    return records
+
+
+class TestRecordsFile:
+    @given(generation_records())
+    @settings(max_examples=60, deadline=None)
+    def test_load_records_rebuilds_every_row(self, records):
+        rows = [r.to_json() for r in records]
+        text = "".join(records_chunks(records))
+        data = json.loads(text)
+        assert text == canonical_dumps(data, compact=True)
+        texts = data["texts"]
+        assert len(set(texts)) == len(texts)
+        turns = [t.text for r in records for t in r.transcript.turns]
+        assert texts == list(dict.fromkeys(turns))  # first-seen order
+        assert all(0 <= t["text_id"] < len(texts)
+                   for row in data["records"] for t in row["transcript"])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.json"
+            write_chunks_atomic(path, records_chunks(records))
+            assert path.read_text(encoding="utf-8") == text
+            assert load_records(path) == rows
+
+    def test_grounding_json_equals_its_dataclass_fields(self):
+        report = GroundingReport(["a"], ["b", "c"], [], ["d"], ["e", "f"])
+        record = GenerationRecord(unseen_relation="R1", doc_id="R1-00", grounding=report)
+        assert record.to_json()["grounding"] == asdict(report)
+
+    def test_bare_array_of_an_older_version_loads(self, tmp_path):
+        rows = [{"accepted_turn_indices": [2], "doc_id": "R1-00", "document": "R1-00",
+                 "failure": None, "grounding": asdict(GroundingReport()), "related": ["R2"],
+                 "transcript": [{"role": "system", "text": "sys"}, {"role": "user", "text": "q"},
+                                {"role": "assistant", "text": "a"}],
+                 "unseen_relation": "R1"}]
+        path = tmp_path / "records_1.json"
+        path.write_text(canonical_dumps(rows, compact=True), encoding="utf-8")
+        assert load_records(path) == rows
+
+    @pytest.mark.parametrize("data", [
+        {"records": [], "texts": [], "version": 2},
+        {"records": [{"transcript": [{"role": "user", "text_id": 1}]}], "texts": ["q"],
+         "version": 1},
+        {"records": [{"transcript": [{"role": "user", "text_id": -1}]}], "texts": ["q"],
+         "version": 1},
+        {"records": [{"transcript": [{"role": "user"}]}], "texts": ["q"], "version": 1},
+        {"records": [{"transcript": [{"role": "user", "text_id": 0}]}], "texts": "q",
+         "version": 1},
+        "records",
+    ])
+    def test_malformed_file_raises_parse_error(self, tmp_path, data):
+        path = tmp_path / "records_1.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ParseError, match="records_1.json"):
+            load_records(path)
 
 
 class TestPromptLibrary:

@@ -13,10 +13,11 @@ import pytest
 from click.testing import CliRunner
 
 import docrte
-from docrte.backends import CassetteBackend, CountingBackend, ScriptedBackend
+from docrte.backends import CassetteBackend, ChatBackend, CountingBackend, ScriptedBackend
 from docrte.cli import main
 from docrte.config import PipelineConfig, load_config
-from docrte.docio import canonical_dumps, load_corpus
+from docrte.docio import canonical_dumps, load_corpus, load_json
+from docrte.generate import generate_corpus, load_records
 from docrte.pipeline import (
     STAGE_GC_GEN0,
     STAGE_ORDER,
@@ -714,6 +715,62 @@ class TestArtifactLayout:
         assert {"report.json", "effective_config.json", "split/spec_3.json",
                 "denoise/report_3.json", "eval/dev_3.json",
                 "manifests/denoise.json"} <= set(indented)
+
+
+class TestRecordsFile:
+    def test_rebuilt_transcripts_equal_those_of_the_run(self, workspace, monkeypatch):
+        written = []
+
+        def keeping(*args, **kwargs):
+            corpus, records = generate_corpus(*args, **kwargs)
+            written.append(records)
+            return corpus, records
+
+        def failing_some(runner, seed, spec):
+            inner = runner.default_chat_backend(seed, spec)
+
+            class Failing(ChatBackend):
+                def send(self, transcript, temperature, meta=None):
+                    if meta.doc_index == 1 and meta.step == 4:
+                        return "nothing to report"  # unusable at every attempt
+                    return inner.send(transcript, temperature, meta)
+
+            return Failing()
+
+        monkeypatch.setattr("docrte.pipeline.generate_corpus", keeping)
+        runner = make_runner(workspace, chat_backend_factory=failing_some)
+        runner.run(["split", "generate"])
+        seeds = PIPELINE_CONFIG["seeds"]
+        assert len(written) == len(seeds)
+        for seed, records in zip(seeds, written):
+            path = runner.run_dir / f"generate/records_{seed}.json"
+            rows = load_records(path)
+            assert rows == [r.to_json() for r in records]
+            assert [row["transcript"] for row in rows] == [r.transcript.messages() for r in records]
+            failed = [row["doc_id"] for row in rows if row["failure"]]
+            assert failed == [r.doc_id for r in records if not r.ok]
+            assert {f"{rel}-01" for rel in {r.unseen_relation for r in records}} <= set(failed)
+            data = load_json(path)
+            assert len(set(data["texts"])) == len(data["texts"])
+            assert {t["text_id"] for row in data["records"] for t in row["transcript"]} == \
+                set(range(len(data["texts"])))
+
+    def test_hash_seed_does_not_change_the_records(self, workspace):
+        package_root = str(Path(docrte.__file__).resolve().parents[1])
+        script = ("import sys; from docrte.config import load_config; "
+                  "from docrte.pipeline import PipelineRunner; "
+                  "PipelineRunner(load_config(sys.argv[1], run_dir=sys.argv[2]))"
+                  ".run(['split', 'generate'])")
+        files = []
+        for hash_seed in ("1", "2"):
+            run_dir = workspace.parent / f"run_hash{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+                filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-c", script, str(workspace), str(run_dir)],
+                           check=True, env=env, capture_output=True, timeout=120)
+            files.append({seed: (run_dir / f"generate/records_{seed}.json").read_bytes()
+                          for seed in PIPELINE_CONFIG["seeds"]})
+        assert files[0] == files[1]
 
 
 class TestCli:
