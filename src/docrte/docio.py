@@ -13,13 +13,16 @@ string is built; the bytes are those of :func:`canonical_dumps` with
 ``compact=True``.  Documents are built as dicts in sorted key order and
 encoded without a per-object key sort.  The layout of the generation records
 (a text table the transcripts refer to) belongs to :mod:`docrte.generate`
-(``records_chunks`` and ``load_records``).
+(``records_chunks`` and ``load_records``).  The JSON loaders take an optional
+``digest``: the bytes they parse must have that sha256, which lets a caller
+tie what it parsed to a digest it recorded earlier.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -46,6 +49,10 @@ class CorpusFormatError(ParseError):
     """Raised when a corpus file's version tag is missing or incompatible."""
 
 
+class ChangedFileError(RuntimeError):
+    """Raised when the bytes of a file differ from the digest its reader expected."""
+
+
 # ---------------------------------------------------------------------------
 # canonical JSON plumbing
 
@@ -64,7 +71,7 @@ def canonical_dumps(obj: Any, compact: bool = False) -> str:
 # Bytes buffered before each write to a temp file.  Chunks are small (one
 # document or record), and a file written in small pieces reads back about 10%
 # slower from the page cache than one written in large ones; every artifact is
-# hashed again when a stage checks it.
+# hashed again when a later run checks it.
 WRITE_BUFFER = 1 << 20
 
 
@@ -125,12 +132,19 @@ def compact_array_chunks(items: Iterable[Any], end: str = "\n",
     yield ("[]" if sep == "[" else "]") + end
 
 
-def load_json(path: Path | str) -> Any:
+def load_json(path: Path | str, digest: str | None = None) -> Any:
+    """Parse a JSON file.  With ``digest``, the bytes parsed must have that
+    sha256, or :class:`ChangedFileError` is raised."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    if digest is not None and (actual := hashlib.sha256(data).hexdigest()) != digest:
+        raise ChangedFileError(f"{path} changed after its digest was taken "
+                               f"(sha256 {actual}, expected {digest})")
+    text = data.decode("utf-8")
+    del data  # not held while the text is parsed
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -141,23 +155,34 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+# Bytes read per call when a file is hashed on disk.
+DIGEST_BUFFER = 1 << 16
+
+
 def file_digest(path: Path | str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """sha256 hex digest of a file, streamed through one reused buffer."""
+    digest = hashlib.sha256()
+    buffer = bytearray(DIGEST_BUFFER)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
 # relation registry
 
 
-def load_registry(path: Path | str) -> RelationRegistry:
+def load_registry(path: Path | str, digest: str | None = None) -> RelationRegistry:
     """Load a relation registry.
 
     Two layouts are accepted: a flat ``{"P57": "director", ...}`` mapping
     (the common rel_info layout), or a list of
     ``{"id": ..., "name": ..., "description": ...}`` records (optionally under
-    a top-level ``"relations"`` key).
+    a top-level ``"relations"`` key).  ``digest`` is checked as in :func:`load_json`.
     """
-    data = load_json(path)
+    data = load_json(path, digest)
     if isinstance(data, dict) and "relations" in data:
         data = data["relations"]
     if isinstance(data, dict):
@@ -300,8 +325,9 @@ def save_corpus(corpus: Corpus, path: Path | str) -> str:
     return write_chunks_atomic(path, corpus_chunks(corpus))
 
 
-def load_corpus(path: Path | str, registry: RelationRegistry | None = None) -> Corpus:
-    data = load_json(path)
+def load_corpus(path: Path | str, registry: RelationRegistry | None = None,
+                digest: str | None = None) -> Corpus:
+    data = load_json(path, digest)
     if not isinstance(data, dict) or "version" not in data:
         raise CorpusFormatError(f"{path}: not a corpus file (missing version tag)")
     if data["version"] != CORPUS_VERSION:
@@ -322,15 +348,18 @@ def load_corpus(path: Path | str, registry: RelationRegistry | None = None) -> C
 # DocRED-style interchange
 
 
-def load_docred(path: Path | str, registry: RelationRegistry) -> Corpus:
+def load_docred(path: Path | str, registry: RelationRegistry,
+                digest: str | None = None) -> Corpus:
     """Read a DocRED-format JSON array into a human-provenance corpus.
 
     Expected per-document schema: ``title``, ``sents`` (token lists),
     ``vertexSet`` (list of mention clusters with ``pos`` = [start, end)),
     ``labels`` (``h``/``t`` vertex indices, ``r`` relation id, ``evidence``).
-    Titles double as document ids and must be unique.
+    Titles double as document ids and must be unique.  Tokens are interned:
+    a corpus repeats a small vocabulary, and the split views keep them for
+    later stages of a run.  ``digest`` is checked as in :func:`load_json`.
     """
-    data = load_json(path)
+    data = load_json(path, digest)
     if not isinstance(data, list):
         raise ParseError(f"{path}: expected a top-level JSON array of documents")
     documents = []
@@ -338,7 +367,8 @@ def load_docred(path: Path | str, registry: RelationRegistry) -> Corpus:
         title = row.get("title")
         if not title:
             raise ParseError(f"{path}: document without title: {row!r}")
-        sents = _token_lists(row.get("sents") or [], f"{path}: {title!r}")
+        sents = [list(map(sys.intern, s))
+                 for s in _token_lists(row.get("sents") or [], f"{path}: {title!r}")]
         entities = []
         for cluster in row.get("vertexSet") or []:
             if not cluster:

@@ -4,18 +4,22 @@ Two task variants share the counting logic: RTE scores (head text, tail
 text, relation) predictions by normalized-name matching against gold entity
 clusters; RE scores (head index, tail index, relation) predictions exactly.
 Matching is greedy one-to-one in prediction order, so a gold label can
-absorb at most one prediction.
+absorb at most one prediction.  :func:`build_report` and
+:func:`render_report_text` assemble a run's scores over seeds.
 """
 from __future__ import annotations
 
 import statistics
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .docio import load_json, write_json_atomic
 from .model import Corpus, Document, EntityKeyError, TripletLabel, normalize_entity_key
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
 
 
 class EvaluationError(ValueError):
@@ -222,8 +226,9 @@ def aggregate(results: Sequence[EvalResult]) -> AggregateResult:
 # predictions file format: {doc_id: [{"head": ..., "tail": ..., "relation": ...}]}
 
 
-def load_predictions(path: Path | str) -> dict[str, list[tuple[str, str, str]]]:
-    data = load_json(path)
+def load_predictions(path: Path | str,
+                     digest: str | None = None) -> dict[str, list[tuple[str, str, str]]]:
+    data = load_json(path, digest)
     if not isinstance(data, dict):
         raise EvaluationError(f"{path}: predictions file must be a JSON object")
     out: dict[str, list[tuple[str, str, str]]] = {}
@@ -242,8 +247,9 @@ def load_predictions(path: Path | str) -> dict[str, list[tuple[str, str, str]]]:
 
 def save_predictions(
     predictions: Mapping[str, Sequence[tuple[str, str, str]]], path: Path | str
-) -> None:
-    write_json_atomic(
+) -> str:
+    """Write name-based predictions compact; return the digest of the file."""
+    return write_json_atomic(
         path,
         {
             doc_id: [{"head": h, "tail": t, "relation": r} for h, t, r in rows]
@@ -251,3 +257,91 @@ def save_predictions(
         },
         compact=True,
     )
+
+
+def index_predictions(
+    name_preds: Mapping[str, Sequence[tuple[str, str, str]]],
+    corpus: Corpus,
+) -> dict[str, list[tuple[int, int, str]]]:
+    """Project name-based predictions into each document's entity index space.
+
+    A prediction whose head or tail does not name a listed entity (after
+    normalization) cannot be expressed as an index pair and is omitted from
+    the index-based view; the name-based scoring still sees it.
+    """
+    out: dict[str, list[tuple[int, int, str]]] = {}
+    for doc in corpus.documents:
+        key_to_index = doc.key_to_index()
+        rows: list[tuple[int, int, str]] = []
+        for head, tail, relation in name_preds.get(doc.doc_id, []):
+            try:
+                hi = key_to_index.get(normalize_entity_key(head))
+                ti = key_to_index.get(normalize_entity_key(tail))
+            except EntityKeyError:
+                continue
+            if hi is None or ti is None or hi == ti:
+                continue
+            rows.append((hi, ti, relation))
+        out[doc.doc_id] = rows
+    return out
+
+
+def build_report(
+    config: PipelineConfig,
+    per_seed: Mapping[int, Mapping[str, Mapping[str, EvalResult]]],
+) -> dict[str, Any]:
+    """Assemble the run-level report: per-seed scores plus mean ± std."""
+    seeds = sorted(per_seed)
+    report: dict[str, Any] = {
+        "m": config.m,
+        "seeds": seeds,
+        "mixed_policy": config.mixed_policy,
+        "strict_seen": config.strict_seen,
+        "per_seed": {},
+        "aggregate": {},
+    }
+    for seed in seeds:
+        report["per_seed"][str(seed)] = {
+            split_name: {kind: asdict(result) for kind, result in kinds.items()}
+            for split_name, kinds in sorted(per_seed[seed].items())
+        }
+    for split_name in ("dev", "test"):
+        report["aggregate"][split_name] = {}
+        for kind in ("rte", "re"):
+            scores = [per_seed[s][split_name][kind].f1 * 100.0 for s in seeds]
+            agg = aggregate_scores(scores)
+            report["aggregate"][split_name][kind] = {
+                "mean": agg.mean, "std": agg.std, "n": agg.n, "text": agg.render(),
+            }
+    return report
+
+
+def render_report_text(report: Mapping[str, Any]) -> str:
+    """Human-readable summary; content is a pure function of the report."""
+    seeds = ",".join(str(s) for s in report["seeds"])
+    lines = [
+        "zero-shot document-level relation extraction",
+        f"unseen relations per split: m={report['m']}   "
+        f"seeds: {seeds}   mixed policy: {report['mixed_policy']}",
+        "",
+        "aggregate micro-F1 (mean ± sample std over seeds, x100):",
+    ]
+    for split_name in ("dev", "test"):
+        agg = report["aggregate"][split_name]
+        lines.append(
+            f"  {split_name:<4}  triplets (names): {agg['rte']['text']:<14} "
+            f"relations (indices): {agg['re']['text']}"
+        )
+    lines.append("")
+    lines.append("per seed:")
+    for seed in report["seeds"]:
+        row = report["per_seed"][str(seed)]
+        cells = []
+        for split_name in ("dev", "test"):
+            rte = row[split_name]["rte"]
+            re_ = row[split_name]["re"]
+            cells.append(
+                f"{split_name} rte={100 * rte['f1']:.1f} re={100 * re_['f1']:.1f}"
+            )
+        lines.append(f"  seed {seed}: " + "  |  ".join(cells))
+    return "\n".join(lines) + "\n"

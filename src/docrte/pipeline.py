@@ -14,19 +14,29 @@ every stage reruns it first.  All artifact writes are atomic (write to a
 temp file, then rename), which keeps a crash from leaving a half-written
 file that a resume would mistake for a completed one.
 
-Within one :meth:`PipelineRunner.run`, a generated corpus is handed to the
-later stages that load it without being read back: ``synthetic_<seed>``
-from generate to pseudo-label and denoise, ``denoised_<seed>`` from denoise
-to finetune-data-denoised.  A stage takes the object only when the digest of
-the bytes written equals the digest it has just checked on disk; otherwise,
-and in a stage run on its own, it loads the file.  A corpus is dropped after
-its last reader ran and when the run ends.  Split's views and every other
-input are always read from disk.  With the mock backend and predictor,
-pseudo-label's oracle likewise reuses the truth corpus of the mock world that
-generate built for the same seed in the same run; when pseudo-label runs
-without generate (alone, after a skipped generate, or behind a custom chat
-factory) it rebuilds the world, which is a pure function of the config,
+Within one :meth:`PipelineRunner.run`, a corpus is handed to the later
+stages that load it (``Stage.loads``) without being read back: split's train
+view to finetune-data and its dev and test views to evaluate,
+``synthetic_<seed>`` from generate to pseudo-label and denoise,
+``denoised_<seed>`` from denoise to finetune-data-denoised.  It is dropped
+after its last reader ran and when the run ends; a stage run on its own loads
+the file.  With the mock backend and predictor, pseudo-label's oracle likewise
+reuses the truth corpus of the mock world generate built for the same seed in
+the same run; otherwise it rebuilds the world, a pure function of the config,
 seed and split.
+
+A run hashes each file at most once.  A file it wrote takes the digest its
+writer returned; any other file (config sources, run files of skipped stages)
+is hashed on disk when the run first needs it.  No digest outlives a run and
+none is skipped on size or mtime, so each run sees every earlier edit.  When
+another process edits a file during a run, no stage records a digest other
+than that of the bytes it used: a JSON file a stage parses (run files, the
+registry, split's sources, prediction files) is hashed from the very bytes
+parsed, and a mismatch with the digest the stage recorded fails the stage
+with a :class:`StageError` naming the file; a corpus handed over in memory is
+the one its writer's digest describes.  Templates and a replayed cassette are
+read by their own modules after they were hashed, so an edit in between
+leaves the old digest recorded and the next run reruns the stage.
 
 Run directory layout::
 
@@ -74,20 +84,16 @@ from .docio import (
 )
 from .evaluate import (
     EvalResult,
-    aggregate_scores,
+    build_report,
     evaluate_re,
     evaluate_rte,
+    index_predictions,
     load_predictions,
+    render_report_text,
     save_predictions,
 )
 from .generate import ChainConfig, generate_corpus, records_chunks
-from .model import (
-    Corpus,
-    EntityKeyError,
-    RelationRegistry,
-    ValidationError,
-    normalize_entity_key,
-)
+from .model import Corpus, RelationRegistry, ValidationError
 from .prompts import PromptLibrary
 from .pseudo import (
     FinetunePolicy,
@@ -104,7 +110,7 @@ from .pseudo import (
     write_finetune_file,
 )
 from .simulate import chat_script, mock_generation_corpus
-from .split import SplitSpec, apply_split, load_split_spec, sample_unseen, save_split_spec
+from .split import SplitSpec, apply_split, sample_unseen, save_split_spec
 
 logger = logging.getLogger(__name__)
 
@@ -225,7 +231,7 @@ STAGES: dict[str, Stage] = {stage.name: stage for stage in (
           sources=_generate_sources),
     Stage("finetune-data", reads={"split": ("spec", "train")},
           writes={"samples": "finetune/pretrain_{seed}.jsonl"},
-          params=("group_size", "keep_empty_prob", "instruction")),
+          params=("group_size", "keep_empty_prob", "instruction"), loads=("train",)),
     Stage("pseudo-label", reads={"generate": ("synthetic",), "split": ("spec",)},
           writes={"pseudo": "pseudo/pseudo_{seed}.json"},
           params=("predictor", "instruction"), loads=("synthetic",),
@@ -251,7 +257,7 @@ STAGES: dict[str, Stage] = {stage.name: stage for stage in (
                        ("final_predictor", "process"): ("final_predictor_argv",),
                        ("final_predictor", "http"): ("final_predictor_url",),
                        ("final_predictor", "file"): ("predictions_dev", "predictions_test")},
-          sources=_evaluate_sources,
+          sources=_evaluate_sources, loads=("dev", "test"),
           finish="_write_report", finish_writes=("report.json", "report.txt")),
 )}
 
@@ -266,11 +272,29 @@ STAGE_GC_GEN0 = 100_000
 
 
 class _Held(NamedTuple):
-    """A corpus written in the current run, kept for a later stage of it."""
+    """A corpus kept in memory for a later stage of the current run."""
 
-    digest: str  # of the bytes written
+    digest: str  # of the bytes it was written as or parsed from
     corpus: Corpus
     last_reader: str  # the stage after which it is dropped
+
+
+@dataclass(eq=False)
+class _Run:
+    """The state of one :meth:`PipelineRunner.run`, or of one bare ``run_stage``."""
+
+    stages: tuple[str, ...]  # in order
+    # sha256 by path: the writer's digest for a file this run wrote, else
+    # the file hashed on disk, once
+    digests: dict[Path, str] = field(default_factory=dict)
+    fresh: dict[str, StageManifest] = field(default_factory=dict)  # stages judged fresh
+    inputs: dict[str, str] = field(default_factory=dict)  # recorded by the running stage
+    config_written: bool = False  # whether effective_config.json echoes the config
+    registry: RelationRegistry | None = None
+    # pseudo-label's oracles over the truth corpora of generate's mock worlds, so
+    # a run builds each world once; an oracle holds far less than its corpus
+    oracles: dict[tuple[int, SplitSpec], OraclePredictor] = field(default_factory=dict)
+    held: dict[Path, _Held] = field(default_factory=dict)  # corpora for later stages
 
 
 @dataclass
@@ -353,32 +377,19 @@ class PipelineRunner:
         self.chat_backend_factory = chat_backend_factory or cls.default_chat_backend
         self.predictor_factory = predictor_factory or cls.default_pseudo_predictor
         self.final_predictor_factory = final_predictor_factory or cls.default_final_predictor
-        self._registry: RelationRegistry | None = None
-        # train/dev/test source corpora, held only while split runs its seeds
-        self._sources: tuple[Corpus, Corpus, Corpus] | None = None
-        # manifests of the stages known to be fresh in the current run()
-        self._fresh: dict[str, StageManifest] = {}
-        # whether effective_config.json echoes this config yet
-        self._config_written = False
-        # pseudo-label's oracles over the truth corpora of the mock worlds
-        # generate built in the current run(), by (seed, spec), so a run builds
-        # each world once; an oracle holds far less memory than its corpus
-        self._oracles: dict[tuple[int, SplitSpec], OraclePredictor] = {}
-        # the stages the current run() has still to run after the one running
-        # now; empty outside run(), so a bare run_stage hands nothing over
-        self._later: tuple[str, ...] = ()
-        # corpora written in the current run() for later stages of it, by run file
-        self._held: dict[str, _Held] = {}
-        # the input digests recorded by the stage running now
-        self._inputs: dict[str, str] = {}
+        self._run: _Run | None = None  # set while a run goes on
 
     # -- small helpers ------------------------------------------------------
 
     @property
     def registry(self) -> RelationRegistry:
-        if self._registry is None:
-            self._registry = load_registry(self.config.registry)
-        return self._registry
+        """The relation registry, parsed once per run (on each use outside one)."""
+        run, path = self._run, Path(self.config.registry)
+        if run is None:
+            return load_registry(path)
+        if run.registry is None:
+            run.registry = load_registry(path, self._digest(path))
+        return run.registry
 
     def path(self, rel: str) -> Path:
         return self.run_dir / rel
@@ -395,15 +406,22 @@ class PipelineRunner:
     def _write_manifest(self, manifest: StageManifest) -> None:
         write_json_atomic(self.manifest_path(manifest.stage), asdict(manifest))
 
-    def _files(self, stage: str, seed: int) -> dict[str, Path]:
-        """What ``stage`` reads and writes for one seed, by key."""
-        entry = STAGES[stage]
-        return {key: self.path(rel)
-                for key, rel in {**entry.inputs(seed), **entry.outputs(seed)}.items()}
+    def _digest(self, path: Path) -> str | None:
+        """sha256 of ``path``, hashed on disk at most once per run; None if missing."""
+        digests = self._run.digests
+        if path not in digests:
+            if not path.exists():
+                return None
+            digests[path] = file_digest(path)
+        return digests[path]
 
-    def _digest(self, rel: str) -> str | None:
-        path = self.path(rel)
-        return file_digest(path) if path.exists() else None
+    def _input(self, stage: str, seed: int, key: str) -> tuple[Path, str]:
+        """Input ``key`` of ``stage``: its path and the digest the stage records."""
+        rel = STAGES[stage].inputs(seed)[key]
+        return self.path(rel), self._run.inputs[rel]
+
+    def _spec(self, stage: str, seed: int) -> SplitSpec:
+        return SplitSpec.from_manifest(load_json(*self._input(stage, seed, "spec")))
 
     # -- freshness ------------------------------------------------------------
 
@@ -413,9 +431,10 @@ class PipelineRunner:
         params = {"seeds": list(self.config.seeds), **entry.param_values(self.config)}
         digests = {"params": sha256_text(canonical_dumps(params))}
         for key, path in entry.sources(self.config).items():
-            if not path.exists():
+            digest = self._digest(path)
+            if digest is None:
                 raise StageError(f"{key} points to a missing file: {path}")
-            digests[key] = file_digest(path)
+            digests[key] = digest
         return digests
 
     def _fresh_manifest(self, stage: str, consumer: str) -> StageManifest:
@@ -423,8 +442,9 @@ class PipelineRunner:
         says ``ok``, its params and sources match the config, and its recorded
         run-file inputs are what its fresh upstream stages recorded as outputs.
         """
-        if stage in self._fresh:
-            return self._fresh[stage]
+        fresh = self._run.fresh
+        if stage in fresh:
+            return fresh[stage]
         manifest = self.read_manifest(stage)
         if manifest is None or manifest.status != "ok":
             raise MissingStageError(f"missing stage: {stage} (run it before {consumer!r})")
@@ -435,7 +455,7 @@ class PipelineRunner:
                    if expected.get(key) != manifest.inputs.get(key)]
         if changed:
             raise _stale(stage, changed, consumer)
-        self._fresh[stage] = manifest
+        fresh[stage] = manifest
         return manifest
 
     def _check_deps(self, stage: str) -> None:
@@ -447,19 +467,26 @@ class PipelineRunner:
         hold what the upstream stage that wrote it recorded as an output."""
         inputs = self._config_inputs(stage)
         for rel, dep in STAGES[stage].upstream_files(self.config.seeds).items():
-            digest = self._digest(rel)
-            if digest is None or digest != self._fresh[dep].outputs.get(rel):
+            digest = self._digest(self.path(rel))
+            if digest is None or digest != self._run.fresh[dep].outputs.get(rel):
                 raise _stale(dep, [rel], stage)
             inputs[rel] = digest
         return inputs
 
     def _outputs_intact(self, manifest: StageManifest) -> bool:
-        return all(self._digest(rel) == digest for rel, digest in manifest.outputs.items())
+        return all(self._digest(self.path(rel)) == digest
+                   for rel, digest in manifest.outputs.items())
+
+    def _write(self, stage: str, seed: int, key: str, write: Callable[[Path], str]) -> Path:
+        """Write output ``key`` of ``stage`` with ``write``; keep the digest it returns."""
+        path = self.path(STAGES[stage].outputs(seed)[key])
+        self._run.digests[path] = write(path)
+        return path
 
     def _digest_written(self, stage: str, rel_paths: Iterable[str]) -> dict[str, str]:
         digests = {}
         for rel in rel_paths:
-            digest = self._digest(rel)
+            digest = self._run.digests.get(self.path(rel))
             if digest is None:
                 raise StageError(f"stage {stage} finished without writing {self.path(rel)}")
             digests[rel] = digest
@@ -471,9 +498,13 @@ class PipelineRunner:
         """Run one stage for every seed, or skip it when it is still fresh."""
         if stage not in STAGES:
             raise StageError(f"unknown stage: {stage!r}")
+        run = self._run
+        if run is None:  # a bare call is a run of this one stage
+            with self._running((stage,)):
+                return self.run_stage(stage, force)
         entry = STAGES[stage]
         self._check_deps(stage)
-        inputs = self._inputs = self._compute_inputs(stage)
+        inputs = run.inputs = self._compute_inputs(stage)
         manifest = self.read_manifest(stage)
         if (
             not force
@@ -483,15 +514,15 @@ class PipelineRunner:
             and self._outputs_intact(manifest)
         ):
             logger.info("stage %s: up to date, skipping", stage)
-            self._fresh[stage] = manifest
+            run.fresh[stage] = manifest
             return StageOutcome(stage=stage, status="skipped")
 
         # this stage's outputs, and so every later stage's verdict, may change
         for name in STAGE_ORDER[STAGE_ORDER.index(stage):]:
-            self._fresh.pop(name, None)
-        if not self._config_written:
+            run.fresh.pop(name, None)
+        if not run.config_written:
             write_json_atomic(self.path("effective_config.json"), self.config.to_json())
-            self._config_written = True
+            run.config_written = True
         started = _now()
         run_seed = getattr(self, "_stage_" + stage.replace("-", "_"))
         outputs: dict[str, str] = {}
@@ -517,14 +548,13 @@ class PipelineRunner:
             raise StageError(f"stage {stage} failed: {exc}") from exc
         finally:
             gc.set_threshold(*thresholds)
-            self._sources = None
 
         manifest = StageManifest(
             stage=stage, status="ok", inputs=inputs, outputs=outputs,
             started_at=started, finished_at=_now(),
         )
         self._write_manifest(manifest)
-        self._fresh[stage] = manifest
+        run.fresh[stage] = manifest
         logger.info("stage %s: done (%d output files)", stage, len(outputs))
         return StageOutcome(stage=stage, status="ran")
 
@@ -535,41 +565,43 @@ class PipelineRunner:
             if stage not in STAGES:
                 raise StageError(f"unknown stage: {stage!r}")
         ordered = tuple(s for s in STAGE_ORDER if s in wanted)
-        with run_lock(self.run_dir):
-            self._fresh = {}
-            self._config_written = False
+        with run_lock(self.run_dir), self._running(ordered) as run:
             outcomes = []
-            try:
-                for i, stage in enumerate(ordered):
-                    self._later = ordered[i + 1:]
-                    outcomes.append(self.run_stage(stage, force=force))
-                    self._held = {rel: held for rel, held in self._held.items()
-                                  if held.last_reader != stage}
-                return outcomes
-            finally:
-                self._oracles.clear()
-                self._held.clear()
-                self._later = ()
+            for stage in ordered:
+                outcomes.append(self.run_stage(stage, force=force))
+                run.held = {path: held for path, held in run.held.items()
+                            if held.last_reader != stage}
+            return outcomes
+
+    @contextmanager
+    def _running(self, stages: tuple[str, ...]) -> Iterator[_Run]:
+        """A new :class:`_Run` for ``stages``, dropped when they end, however they end."""
+        self._run = _Run(stages)
+        try:
+            yield self._run
+        finally:
+            self._run = None
 
     # -- corpora handed over within a run -----------------------------------
 
     def _save_corpus(self, stage: str, seed: int, key: str, corpus: Corpus) -> None:
         """Write output ``key`` of ``stage``; keep it for the later stages of
         this run that load it."""
-        rel = STAGES[stage].outputs(seed)[key]
-        digest = save_corpus(corpus, self.path(rel))
-        readers = [s for s in self._later if stage in STAGES[s].reads and key in STAGES[s].loads]
+        run = self._run
+        path = self._write(stage, seed, key, lambda path: save_corpus(corpus, path))
+        readers = [s for s in run.stages[run.stages.index(stage) + 1:]
+                   if stage in STAGES[s].reads and key in STAGES[s].loads]
         if readers:
-            self._held[rel] = _Held(digest, corpus, readers[-1])
+            run.held[path] = _Held(run.digests[path], corpus, readers[-1])
 
     def _load_corpus(self, stage: str, seed: int, key: str) -> Corpus:
-        """Input ``key`` of ``stage``: the corpus written earlier in this run
-        if the file holds what was written, else the file loaded."""
-        rel = STAGES[stage].inputs(seed)[key]
-        held = self._held.get(rel)
-        if held is not None and held.digest == self._inputs.get(rel):
+        """Input ``key`` of ``stage``: the corpus kept earlier in this run if
+        it is what the stage recorded, else the file loaded."""
+        path, digest = self._input(stage, seed, key)
+        held = self._run.held.get(path)
+        if held is not None and held.digest == digest:
             return held.corpus
-        return load_corpus(self.path(rel), self.registry)
+        return load_corpus(path, self.registry, digest)
 
     # -- transports -----------------------------------------------------------
 
@@ -588,8 +620,9 @@ class PipelineRunner:
         cfg = self.config
         if cfg.backend == "mock":
             world, truth, corrupted = self._mock_world(seed, spec)
-            if cfg.predictor == "mock":
-                self._oracles[seed, spec] = self._pseudo_oracle(seed, spec, truth)
+            run = self._run  # None when another runner's factory calls this
+            if cfg.predictor == "mock" and run and "pseudo-label" in run.stages:
+                run.oracles[seed, spec] = self._pseudo_oracle(seed, spec, truth)
             return ScriptedBackend(chat_script(world, corrupted), record_calls=False)
         if cfg.backend == "cassette":
             if cfg.cassette_mode == "record":
@@ -628,8 +661,8 @@ class PipelineRunner:
 
     def default_pseudo_predictor(self, seed: int, spec: SplitSpec) -> PredictorBackend:
         def oracle() -> PredictorBackend:
-            if (seed, spec) in self._oracles:
-                return self._oracles.pop((seed, spec))
+            if (seed, spec) in self._run.oracles:
+                return self._run.oracles.pop((seed, spec))
             return self._pseudo_oracle(seed, spec, self._mock_world(seed, spec)[1])
 
         return self._predictor("predictor", oracle)
@@ -643,73 +676,72 @@ class PipelineRunner:
     # -- stages ---------------------------------------------------------------
 
     def _stage_split(self, seed: int) -> None:
-        cfg = self.config
-        if self._sources is None:
-            self._sources = (load_docred(cfg.train_docs, self.registry),
-                             load_docred(cfg.dev_docs, self.registry),
-                             load_docred(cfg.test_docs, self.registry))
+        cfg, held = self.config, self._run.held
+        sources = {n: Path(getattr(cfg, n)) for n in ("train_docs", "dev_docs", "test_docs")}
+        for name, path in sources.items():
+            if path not in held:  # parsed once for every seed
+                digest = self._run.inputs[f"config:{name}"]
+                held[path] = _Held(digest, load_docred(path, self.registry, digest), "split")
         spec = sample_unseen(self.registry, cfg.m, seed)
-        bundle = apply_split(*self._sources, spec, cfg.mixed_policy)
-        files = self._files("split", seed)
-        save_split_spec(spec, files["spec"])
-        save_corpus(bundle.train, files["train"])
-        save_corpus(bundle.eval_dev, files["dev"])
-        save_corpus(bundle.eval_test, files["test"])
+        bundle = apply_split(*(held[p].corpus for p in sources.values()), spec, cfg.mixed_policy)
+        self._write("split", seed, "spec", lambda path: save_split_spec(spec, path))
+        for key, view in (("train", bundle.train), ("dev", bundle.eval_dev),
+                          ("test", bundle.eval_test)):
+            self._save_corpus("split", seed, key, view)
 
     def _stage_generate(self, seed: int) -> None:
         cfg = self.config
-        files = self._files("generate", seed)
-        spec = load_split_spec(files["spec"])
+        spec = self._spec("generate", seed)
         backend = self.chat_backend_factory(self, seed, spec)
         corpus, records = generate_corpus(
             backend, sorted(spec.unseen), self.registry, cfg.chain(),
             prompts=PromptLibrary(cfg.templates_dir), parallelism=cfg.parallelism,
         )
         self._save_corpus("generate", seed, "synthetic", corpus)
-        write_chunks_atomic(files["records"], records_chunks(records))
+        self._write("generate", seed, "records",
+                    lambda path: write_chunks_atomic(path, records_chunks(records)))
 
-    def _stage_finetune_data(self, seed: int) -> None:
+    def _write_samples(self, stage: str, seed: int, corpus: Corpus,
+                       groups: Sequence[RelationGroup]) -> None:
         cfg = self.config
-        files = self._files("finetune-data", seed)
-        spec = load_split_spec(files["spec"])
-        train = load_corpus(files["train"], self.registry)
-        groups = partition_relations(sorted(spec.seen), cfg.group_size, seed=seed)
         policy = FinetunePolicy(instruction=cfg.instruction,
                                 keep_empty_prob=cfg.keep_empty_prob, seed=seed)
-        samples = assemble_finetune_dataset(train, groups, policy, self.registry)
-        write_finetune_file(samples, files["samples"])
+        samples = assemble_finetune_dataset(corpus, groups, policy, self.registry)
+        self._write(stage, seed, "samples", lambda path: write_finetune_file(samples, path))
+
+    def _stage_finetune_data(self, seed: int) -> None:
+        spec = self._spec("finetune-data", seed)
+        groups = partition_relations(sorted(spec.seen), self.config.group_size, seed=seed)
+        self._write_samples("finetune-data", seed,
+                            self._load_corpus("finetune-data", seed, "train"), groups)
 
     def _stage_pseudo_label(self, seed: int) -> None:
         cfg = self.config
-        files = self._files("pseudo-label", seed)
-        spec = load_split_spec(files["spec"])
+        spec = self._spec("pseudo-label", seed)
         synthetic = self._load_corpus("pseudo-label", seed, "synthetic")
         predictor = self.predictor_factory(self, seed, spec)
         labels = infer_pseudo_labels(
             predictor, synthetic, sorted(spec.unseen), cfg.instruction, self.registry,
         )
-        write_json_atomic(files["pseudo"], labels.to_json(), compact=True)
+        self._write("pseudo-label", seed, "pseudo",
+                    lambda path: write_json_atomic(path, labels.to_json(), compact=True))
 
     def _stage_denoise(self, seed: int) -> None:
-        files = self._files("denoise", seed)
-        spec = load_split_spec(files["spec"])
+        spec = self._spec("denoise", seed)
         synthetic = self._load_corpus("denoise", seed, "synthetic")
-        pseudo = PseudoLabelSet.from_json(load_json(files["pseudo"]))
+        pseudo = PseudoLabelSet.from_json(load_json(*self._input("denoise", seed, "pseudo")))
         denoised, report, rows = denoise(synthetic, pseudo.fact_sets(), sorted(spec.unseen))
         self._save_corpus("denoise", seed, "denoised", denoised)
-        write_json_atomic(files["kg"], rows, compact=True)
-        write_json_atomic(files["report"], report.to_json())
+        self._write("denoise", seed, "kg",
+                    lambda path: write_json_atomic(path, rows, compact=True))
+        self._write("denoise", seed, "report",
+                    lambda path: write_json_atomic(path, report.to_json()))
 
     def _stage_finetune_data_denoised(self, seed: int) -> None:
-        cfg = self.config
-        files = self._files("finetune-data-denoised", seed)
-        spec = load_split_spec(files["spec"])
-        denoised = self._load_corpus("finetune-data-denoised", seed, "denoised")
+        spec = self._spec("finetune-data-denoised", seed)
         groups = [RelationGroup(index=0, relations=tuple(sorted(spec.unseen)))]
-        policy = FinetunePolicy(instruction=cfg.instruction,
-                                keep_empty_prob=cfg.keep_empty_prob, seed=seed)
-        samples = assemble_finetune_dataset(denoised, groups, policy, self.registry)
-        write_finetune_file(samples, files["samples"])
+        self._write_samples("finetune-data-denoised", seed, self._load_corpus(
+            "finetune-data-denoised", seed, "denoised"), groups)
 
     def _final_predictions(self, seed: int, spec: SplitSpec, gold: Corpus,
                            split_name: str) -> dict[str, list[tuple[str, str, str]]]:
@@ -719,7 +751,7 @@ class PipelineRunner:
             if not template:
                 raise StageError(f"no predictions file configured for the {split_name} split")
             path = _predictions_path(template, seed)
-            raw = load_predictions(path)
+            raw = load_predictions(path, self._run.inputs[f"predictions:{split_name}:{seed}"])
             resolved: dict[str, list[tuple[str, str, str]]] = {}
             for doc_id, triples in raw.items():
                 rows = []
@@ -740,118 +772,29 @@ class PipelineRunner:
 
     def _stage_evaluate(self, seed: int) -> dict[str, dict[str, EvalResult]]:
         cfg = self.config
-        files = self._files("evaluate", seed)
-        spec = load_split_spec(files["spec"])
+        spec = self._spec("evaluate", seed)
         results: dict[str, dict[str, EvalResult]] = {}
         for split_name in ("dev", "test"):
-            gold = load_corpus(files[split_name], self.registry)
+            gold = self._load_corpus("evaluate", seed, split_name)
             preds = self._final_predictions(seed, spec, gold, split_name)
-            save_predictions(preds, files[f"predictions_{split_name}"])
+            self._write("evaluate", seed, f"predictions_{split_name}",
+                        lambda path: save_predictions(preds, path))
             rte = evaluate_rte(preds, gold, spec.unseen, cfg.strict_seen)
-            re_preds = _index_predictions(preds, gold)
+            re_preds = index_predictions(preds, gold)
             re = evaluate_re(re_preds, gold, spec.unseen, cfg.strict_seen)
             results[split_name] = {"rte": rte, "re": re}
-            write_json_atomic(
-                files[f"scores_{split_name}"],
-                {"seed": seed, "split": split_name,
-                 "rte": asdict(rte), "re": asdict(re)},
-            )
+            scores = {"seed": seed, "split": split_name, "rte": asdict(rte), "re": asdict(re)}
+            self._write("evaluate", seed, f"scores_{split_name}",
+                        lambda path: write_json_atomic(path, scores))
         return results
 
     def _write_report(self, per_seed: Mapping[int, Mapping[str, Mapping[str, EvalResult]]]) -> None:
         report = build_report(self.config, per_seed)
-        write_json_atomic(self.path("report.json"), report)
-        write_text_atomic(self.path("report.txt"), render_report_text(report))
+        for name, text in (("report.json", canonical_dumps(report)),
+                           ("report.txt", render_report_text(report))):
+            self._run.digests[self.path(name)] = write_text_atomic(self.path(name), text)
 
     # convenience used by the CLI after run-all
     def report_text(self) -> str:
         path = self.path("report.txt")
         return path.read_text(encoding="utf-8") if path.exists() else ""
-
-
-def _index_predictions(
-    name_preds: Mapping[str, Sequence[tuple[str, str, str]]],
-    corpus: Corpus,
-) -> dict[str, list[tuple[int, int, str]]]:
-    """Project name-based predictions into each document's entity index space.
-
-    A prediction whose head or tail does not name a listed entity (after
-    normalization) cannot be expressed as an index pair and is omitted from
-    the index-based view; the name-based scoring still sees it.
-    """
-    out: dict[str, list[tuple[int, int, str]]] = {}
-    for doc in corpus.documents:
-        key_to_index = doc.key_to_index()
-        rows: list[tuple[int, int, str]] = []
-        for head, tail, relation in name_preds.get(doc.doc_id, []):
-            try:
-                hi = key_to_index.get(normalize_entity_key(head))
-                ti = key_to_index.get(normalize_entity_key(tail))
-            except EntityKeyError:
-                continue
-            if hi is None or ti is None or hi == ti:
-                continue
-            rows.append((hi, ti, relation))
-        out[doc.doc_id] = rows
-    return out
-
-
-def build_report(
-    config: PipelineConfig,
-    per_seed: Mapping[int, Mapping[str, Mapping[str, EvalResult]]],
-) -> dict[str, Any]:
-    """Assemble the run-level report: per-seed scores plus mean ± std."""
-    seeds = sorted(per_seed)
-    report: dict[str, Any] = {
-        "m": config.m,
-        "seeds": seeds,
-        "mixed_policy": config.mixed_policy,
-        "strict_seen": config.strict_seen,
-        "per_seed": {},
-        "aggregate": {},
-    }
-    for seed in seeds:
-        report["per_seed"][str(seed)] = {
-            split_name: {kind: asdict(result) for kind, result in kinds.items()}
-            for split_name, kinds in sorted(per_seed[seed].items())
-        }
-    for split_name in ("dev", "test"):
-        report["aggregate"][split_name] = {}
-        for kind in ("rte", "re"):
-            scores = [per_seed[s][split_name][kind].f1 * 100.0 for s in seeds]
-            agg = aggregate_scores(scores)
-            report["aggregate"][split_name][kind] = {
-                "mean": agg.mean, "std": agg.std, "n": agg.n, "text": agg.render(),
-            }
-    return report
-
-
-def render_report_text(report: Mapping[str, Any]) -> str:
-    """Human-readable summary; content is a pure function of the report."""
-    seeds = ",".join(str(s) for s in report["seeds"])
-    lines = [
-        "zero-shot document-level relation extraction",
-        f"unseen relations per split: m={report['m']}   "
-        f"seeds: {seeds}   mixed policy: {report['mixed_policy']}",
-        "",
-        "aggregate micro-F1 (mean ± sample std over seeds, x100):",
-    ]
-    for split_name in ("dev", "test"):
-        agg = report["aggregate"][split_name]
-        lines.append(
-            f"  {split_name:<4}  triplets (names): {agg['rte']['text']:<14} "
-            f"relations (indices): {agg['re']['text']}"
-        )
-    lines.append("")
-    lines.append("per seed:")
-    for seed in report["seeds"]:
-        row = report["per_seed"][str(seed)]
-        cells = []
-        for split_name in ("dev", "test"):
-            rte = row[split_name]["rte"]
-            re_ = row[split_name]["re"]
-            cells.append(
-                f"{split_name} rte={100 * rte['f1']:.1f} re={100 * re_['f1']:.1f}"
-            )
-        lines.append(f"  seed {seed}: " + "  |  ".join(cells))
-    return "\n".join(lines) + "\n"

@@ -195,7 +195,7 @@ def assemble_finetune_dataset(
     return samples
 
 
-def write_finetune_file(samples: Sequence[FinetuneSample], path: Path | str) -> None:
+def write_finetune_file(samples: Sequence[FinetuneSample], path: Path | str) -> str:
     r"""Write instruction-tuning samples as JSONL {instruction, input, output}.
 
     Line ``i`` is ``json.dumps(samples[i].to_json(), ensure_ascii=False,
@@ -208,7 +208,7 @@ def write_finetune_file(samples: Sequence[FinetuneSample], path: Path | str) -> 
     writes an empty file.  Escaping maps every character on its own, so each
     distinct string is escaped once and the pieces are joined: a document's
     text, shared by one sample per relation group, is escaped once.  Lines
-    are streamed to the file one at a time.
+    are streamed to the file one at a time.  Returns the digest of the file.
     """
     escaped: dict[str, str] = {}
 
@@ -218,7 +218,7 @@ def write_finetune_file(samples: Sequence[FinetuneSample], path: Path | str) -> 
             out = escaped[text] = json.dumps(text, ensure_ascii=False)[1:-1]
         return out
 
-    write_chunks_atomic(path, (
+    return write_chunks_atomic(path, (
         f'{{"input": "{esc(s.document_text)}\\nRelations: {esc(s.relation_menu)}", '
         f'"instruction": "{esc(s.instruction)}", "output": "{esc(s.target)}"}}\n'
         for s in samples

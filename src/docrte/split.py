@@ -56,8 +56,9 @@ class SplitSpec:
         )
 
 
-def save_split_spec(spec: SplitSpec, path: Path | str) -> None:
-    write_json_atomic(path, spec.to_manifest())
+def save_split_spec(spec: SplitSpec, path: Path | str) -> str:
+    """Write ``spec``; return the digest of the file."""
+    return write_json_atomic(path, spec.to_manifest())
 
 
 def load_split_spec(path: Path | str) -> SplitSpec:

@@ -1,6 +1,6 @@
 """Micro benchmarks for the mock world, corpus validation, mention grounding,
-relabeling, bulk JSON writes (corpora and generation records) and
-finetune-data assembly.
+relabeling, bulk JSON writes (corpora and generation records),
+finetune-data assembly and hashing a run directory's files.
 
 Each layer runs at two sizes; the larger one has four times the documents
 and four times the world facts, so near-linear code takes about four times
@@ -13,11 +13,15 @@ Not collected by the default test run (its file name does not match
 """
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from docrte.backends import ScriptedBackend
+from docrte.config import config_from_dict, strip_json_comments
 from docrte.denoise import relabel_corpus
-from docrte.docio import save_corpus, write_chunks_atomic
+from docrte.docio import file_digest, save_corpus, write_chunks_atomic
 from docrte.generate import (
     ChainConfig,
     generate_corpus,
@@ -27,6 +31,7 @@ from docrte.generate import (
     records_chunks,
 )
 from docrte.model import fact_keys, validate_corpus
+from docrte.pipeline import PipelineRunner
 from docrte.pseudo import (
     FinetunePolicy,
     assemble_finetune_dataset,
@@ -40,6 +45,7 @@ from docrte.simulate import (
     mock_generation_corpus,
     synthetic_registry,
     world_documents,
+    write_demo_inputs,
 )
 
 UNSEEN = 10
@@ -150,3 +156,21 @@ def test_finetune_data(benchmark, scenario, tmp_path):
     samples = benchmark(assemble_and_write)
     assert len(samples) == len(corpus.documents) * len(groups)
     assert len(path.read_text(encoding="utf-8").splitlines()) == len(samples)
+
+
+@pytest.fixture(scope="module", params=list(SIZES))
+def run_files(request, tmp_path_factory):
+    """Every file of a mock run directory, with the documents per relation of a size."""
+    work = tmp_path_factory.mktemp("run")
+    write_demo_inputs(work, n_relations=3 * UNSEEN)
+    data = json.loads(strip_json_comments((work / "config.json").read_text(encoding="utf-8")))
+    data.update(m=UNSEEN, seeds=[1], docs_per_relation=SIZES[request.param][1])
+    config = config_from_dict(data, base_dir=work)
+    PipelineRunner(config).run()
+    return sorted(p for p in (work / config.run_dir).rglob("*") if p.is_file())
+
+
+@pytest.mark.benchmark(group="file_digest")
+def test_file_digest(benchmark, run_files):
+    digests = benchmark(lambda: [file_digest(p) for p in run_files])
+    assert digests == [hashlib.sha256(p.read_bytes()).hexdigest() for p in run_files]

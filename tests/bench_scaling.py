@@ -8,8 +8,8 @@ corpora are handed from stage to stage in memory; the script times each
 stage around the runner's ``run_stage`` calls.  Then a second runner makes a
 no-op ``run()``.  Each size runs in a child process of its own, so its peak
 RSS is its alone.  The script prints per-stage wall time, the total, the
-no-op rerun, peak RSS, the bytes in the run directory (in all and per
-top-level folder) and the line count of ``src/docrte``.
+no-op rerun and the MB it hashed, peak RSS, the bytes in the run directory
+(in all and per top-level folder) and the line count of ``src/docrte``.
 
 Not collected by the default test run (its file name does not match
 ``test_*.py``).  Run it on its own::
@@ -39,6 +39,7 @@ M_UNSEEN = 20
 
 
 def measure(size: str, work: Path) -> dict:
+    from docrte import pipeline
     from docrte.config import config_from_dict, strip_json_comments
     from docrte.pipeline import STAGE_ORDER, PipelineRunner
     from docrte.simulate import write_demo_inputs
@@ -66,9 +67,18 @@ def measure(size: str, work: Path) -> dict:
     total = time.perf_counter() - started
     if [o.stage for o in outcomes if o.status == "ran"] != list(STAGE_ORDER):
         raise RuntimeError(f"the cold run skipped stages: {outcomes}")
+    hashed = []
+    file_digest = pipeline.file_digest
+
+    def counting(path):
+        hashed.append(Path(path).stat().st_size)
+        return file_digest(path)
+
+    pipeline.file_digest = counting
     started = time.perf_counter()
     outcomes = PipelineRunner(config).run()
     noop = time.perf_counter() - started
+    pipeline.file_digest = file_digest
     if any(o.status != "skipped" for o in outcomes):
         raise RuntimeError(f"the no-op rerun ran stages: {outcomes}")
     run_dir = Path(config.run_dir)
@@ -83,6 +93,7 @@ def measure(size: str, work: Path) -> dict:
         "stages_s": stages,
         "total_s": total,
         "noop_s": noop,
+        "noop_hashed_mb": sum(hashed) / 1e6,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
         "run_dir_mb": sum(folders.values()),
         "folders_mb": dict(sorted(folders.items())),
@@ -113,6 +124,7 @@ def main(argv: list[str]) -> None:
             for stage in results[0]["stages_s"]]
     rows += [(label, [r[key] for r in results])
              for label, key in (("total (s)", "total_s"), ("no-op rerun (s)", "noop_s"),
+                                ("no-op hashed (MB)", "noop_hashed_mb"),
                                 ("peak RSS (MB)", "peak_rss_mb"), ("run dir (MB)", "run_dir_mb"))]
     rows += [(f"  {folder} (MB)", [r["folders_mb"].get(folder, 0.0) for r in results])
              for folder in results[0]["folders_mb"]]

@@ -1,6 +1,7 @@
 """Serialization: canonical JSON, corpus round-trips, interchange format."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from docrte.docio import (
     CORPUS_VERSION,
+    DIGEST_BUFFER,
+    ChangedFileError,
     CorpusFormatError,
     ParseError,
     canonical_dumps,
@@ -33,6 +36,7 @@ from docrte.docio import (
     write_json_atomic,
     write_text_atomic,
 )
+from docrte.evaluate import save_predictions
 from docrte.model import (
     PROVENANCES,
     Corpus,
@@ -42,6 +46,13 @@ from docrte.model import (
     TripletLabel,
     ValidationError,
 )
+from docrte.pseudo import (
+    FinetunePolicy,
+    RelationGroup,
+    assemble_finetune_dataset,
+    write_finetune_file,
+)
+from docrte.split import SplitSpec, save_split_spec
 
 from conftest import TRICKY, build_corpus, build_doc
 
@@ -96,6 +107,21 @@ class TestAtomicWrites:
         path = tmp_path / "x.txt"
         write_text_atomic(path, "payload")
         assert file_digest(path) == sha256_text("payload")
+
+    @pytest.mark.parametrize("size", [0, 1, DIGEST_BUFFER - 1, DIGEST_BUFFER,
+                                      DIGEST_BUFFER + 1, 3 * DIGEST_BUFFER + 7])
+    def test_streamed_digest_is_the_sha256_of_the_bytes(self, tmp_path, size):
+        path = tmp_path / "x.bin"
+        path.write_bytes(os.urandom(size))
+        assert file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_load_with_a_digest_checks_the_bytes_parsed(self, tmp_path):
+        path = tmp_path / "x.json"
+        digest = write_json_atomic(path, {"a": 1})
+        assert load_json(path, digest) == {"a": 1}
+        write_json_atomic(path, {"a": 2})
+        with pytest.raises(ChangedFileError, match="x.json changed"):
+            load_json(path, digest)
 
 
 NAME = TRICKY.filter(lambda text: text.strip())
@@ -173,6 +199,12 @@ class TestStreamingWriter:
             "chunks": lambda p: write_chunks_atomic(p, iter(["a", "", "€\n"])),
             "corpus": lambda p: save_corpus(corpus, p),
             "docred": lambda p: save_docred(corpus, p),
+            "finetune": lambda p: write_finetune_file(
+                assemble_finetune_dataset(corpus, [RelationGroup(0, ("R1", "R2"))],
+                                          FinetunePolicy(instruction="Extract."), registry6), p),
+            "split spec": lambda p: save_split_spec(
+                SplitSpec(seed=1, m=1, unseen=frozenset({"R1"}), seen=frozenset({"R2"})), p),
+            "predictions": lambda p: save_predictions({"d1": [("Acme", "Zoë «Q»", "R1")]}, p),
         }
         for name, write in writes.items():
             path = tmp_path / name
@@ -346,6 +378,18 @@ class TestInterchangeFormat:
         save_docred(corpus, out)
         again = load_docred(out, registry6)
         assert again.documents == corpus.documents
+
+    def test_equal_tokens_share_one_string(self, tmp_path, registry6):
+        # split hands its views to later stages of a run, so a source corpus
+        # keeps one string per distinct token
+        first, second = _docred_record(), _docred_record()
+        second["title"] = "doc-2"
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps([first, second]))
+        docs = load_docred(path, registry6).documents
+        assert docs[0].sentences == docs[1].sentences
+        for a, b in zip(docs[0].sentences, docs[1].sentences):
+            assert all(x is y for x, y in zip(a, b))
 
 
 # Sentences that are not lists of strings; the first is the DocRED mistake of

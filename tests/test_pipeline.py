@@ -16,7 +16,7 @@ import docrte
 from docrte.backends import CassetteBackend, ChatBackend, CountingBackend, ScriptedBackend
 from docrte.cli import main
 from docrte.config import PipelineConfig, load_config
-from docrte.docio import canonical_dumps, load_corpus, load_json
+from docrte.docio import canonical_dumps, file_digest, load_corpus, load_json, save_corpus
 from docrte.generate import generate_corpus, load_records
 from docrte.pipeline import (
     STAGE_GC_GEN0,
@@ -571,24 +571,23 @@ GENERATED_CORPORA = ("generate/synthetic_", "denoise/denoised_")
 
 
 class TestCorpusHandoff:
-    """Within one run(), generated corpora reach the later stages that load
-    them without being read back from disk."""
+    """Within one run(), split's views and the generated corpora reach the
+    later stages that load them without being read back from disk."""
 
     @pytest.fixture
     def loads(self, monkeypatch):
         paths = []
 
-        def recording(path, registry=None):
+        def recording(path, *args):
             paths.append(Path(path).relative_to(Path(path).parents[1]).as_posix())
-            return load_corpus(path, registry)
+            return load_corpus(path, *args)
 
         monkeypatch.setattr("docrte.pipeline.load_corpus", recording)
         return paths
 
     def test_cold_run_loads_no_generated_corpus(self, workspace, loads):
         make_runner(workspace).run()
-        assert loads and not [p for p in loads if p.startswith(GENERATED_CORPORA)]
-        assert [p for p in loads if p.startswith("split/train_")]
+        assert loads == []  # no run-file corpus at all: split's views are handed over too
 
     def test_handed_over_corpora_equal_their_files(self, workspace):
         taken = []
@@ -606,8 +605,10 @@ class TestCorpusHandoff:
         Checking(load_config(workspace)).run()
         seeds = PIPELINE_CONFIG["seeds"]
         assert [(stage, key) for stage, _, key, _ in taken] == (
-            [("pseudo-label", "synthetic")] * len(seeds) + [("denoise", "synthetic")] * len(seeds)
-            + [("finetune-data-denoised", "denoised")] * len(seeds))
+            [("finetune-data", "train")] * len(seeds)
+            + [("pseudo-label", "synthetic")] * len(seeds) + [("denoise", "synthetic")] * len(seeds)
+            + [("finetune-data-denoised", "denoised")] * len(seeds)
+            + [("evaluate", "dev"), ("evaluate", "test")] * len(seeds))
         by_seed = {(stage, seed): corpus for stage, seed, _, corpus in taken}
         for seed in seeds:
             assert by_seed["pseudo-label", seed] is by_seed["denoise", seed]
@@ -620,50 +621,52 @@ class TestCorpusHandoff:
         class Watching(PipelineRunner):
             def _save_corpus(self, *args):
                 super()._save_corpus(*args)
-                held.append(len(self._held))
+                held.append(len(self._run.held))
 
         make_runner(workspace).run()
         runner = Watching(load_config(workspace))
         runner.run(stages, force=True)
         assert held and set(held) == {0}
-        assert runner._held == {}
+        assert runner._run is None
 
     def test_a_bare_run_stage_holds_nothing(self, workspace, loads):
         runner = make_runner(workspace)
         runner.run_stage("split")
         runner.run_stage("generate")
-        assert runner._held == {}
+        assert runner._run is None
         runner.run_stage("pseudo-label")
         assert [p for p in loads if p.startswith("generate/synthetic_")]
 
     def test_full_run_holds_nothing_once_it_returns(self, workspace):
         runner = make_runner(workspace)
         runner.run()
-        assert runner._held == {} and runner._later == ()
+        assert runner._run is None
 
     def test_failed_run_holds_nothing_once_it_raises(self, workspace):
         def failing(runner, seed, spec):
-            assert runner._held  # synthetic_<seed> awaits pseudo-label and denoise
+            # synthetic_<seed> awaits pseudo-label and denoise
+            assert [p for p in runner._run.held if p.name.startswith("synthetic_")]
             raise PredictorError("extractor is down")
 
         runner = make_runner(workspace, predictor_factory=failing)
         with pytest.raises(StageError, match="extractor is down"):
             runner.run()
-        assert runner._held == {} and runner._later == ()
+        assert runner._run is None
 
     def test_digest_mismatch_loads_from_disk(self, workspace, loads, tmp_path):
         class Mismatching(PipelineRunner):
             def _save_corpus(self, *args):
                 super()._save_corpus(*args)
-                self._held = {rel: held._replace(digest="0" * 64)
-                              for rel, held in self._held.items()}
+                self._run.held = {path: held._replace(digest="0" * 64)
+                                  for path, held in self._run.held.items()}
 
         runner = Mismatching(load_config(workspace))
         runner.run()
         seeds = PIPELINE_CONFIG["seeds"]
-        assert sorted(p for p in loads if p.startswith(GENERATED_CORPORA)) == sorted(
+        assert sorted(loads) == sorted(
             [f"generate/synthetic_{seed}.json" for seed in seeds] * 2
-            + [f"denoise/denoised_{seed}.json" for seed in seeds])
+            + [f"denoise/denoised_{seed}.json" for seed in seeds]
+            + [f"split/{key}_{seed}.json" for key in ("train", "dev", "test") for seed in seeds])
         reference = PipelineRunner(load_config(workspace, run_dir=str(tmp_path / "reference")))
         reference.run()
         assert run_tree_bytes(runner.run_dir) == run_tree_bytes(reference.run_dir)
@@ -676,6 +679,84 @@ class TestCorpusHandoff:
             assert outcome_map(PipelineRunner(staged).run([stage])) == {stage: "ran"}
         tree = run_tree_bytes(whole.run_dir)
         assert tree and tree == run_tree_bytes(staged.run_dir)
+
+
+class TestRunDigests:
+    """A run hashes each file on disk at most once and takes the digest of
+    every file it wrote from its writer."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        paths = []
+
+        def counting(path):
+            paths.append(Path(path))
+            return file_digest(path)
+
+        monkeypatch.setattr("docrte.pipeline.file_digest", counting)
+        return paths
+
+    def test_cold_run_reads_back_no_output(self, workspace, hashed):
+        runner = make_runner(workspace)
+        runner.run()
+        assert hashed and len(hashed) == len(set(hashed))
+        assert not [p for p in hashed if p.is_relative_to(runner.run_dir)]
+
+    def test_noop_run_hashes_no_path_twice(self, workspace, hashed):
+        runner = make_runner(workspace)
+        runner.run()
+        hashed.clear()
+        # the same runner: no digest outlives the run that took it
+        assert set(outcome_map(runner.run()).values()) == {"skipped"}
+        assert len(hashed) == len(set(hashed))
+        outputs = {runner.path(rel) for stage in STAGE_ORDER
+                   for rel in runner.read_manifest(stage).outputs}
+        assert outputs and outputs <= set(hashed)
+
+
+def drop_first_document(path):
+    """Rewrite a corpus file as a valid corpus that differs from it."""
+    corpus = load_corpus(path)
+    save_corpus(replace(corpus, documents=corpus.documents[1:]), path)
+
+
+class TestMidRunEdit:
+    """Another process rewrites a run file after the stage that reads it has
+    recorded its digest.  The stage either fails naming the file or used the
+    bytes that digest describes, so the next run ends byte-identical to an
+    undisturbed one."""
+
+    @pytest.mark.parametrize("stage, rel, handed_over", [
+        ("finetune-data", "split/train_3.json", False),
+        ("finetune-data-denoised", "denoise/denoised_5.json", False),
+        ("evaluate", "split/test_5.json", False),
+        ("pseudo-label", "generate/synthetic_3.json", True),
+        ("evaluate", "split/dev_3.json", True),
+    ])
+    def test_edit_between_hash_and_read(self, workspace, tmp_path, stage, rel, handed_over):
+        class Editing(PipelineRunner):
+            def _compute_inputs(self, name):
+                inputs = super()._compute_inputs(name)
+                if name == stage:
+                    drop_first_document(self.path(rel))
+                return inputs
+
+        runner = Editing(load_config(workspace))
+        if handed_over:  # a cold run: the stage takes the corpus split or generate wrote
+            runner.run()
+            recorded = runner.read_manifest(stage).inputs[rel]
+            writer = next(s for s in STAGE_ORDER if rel in (runner.read_manifest(s).outputs))
+            assert recorded == runner.read_manifest(writer).outputs[rel]
+            assert recorded != file_digest(runner.path(rel))
+        else:  # the stage alone: it parses the file from disk
+            make_runner(workspace).run()
+            with pytest.raises(StageError, match=rel):
+                runner.run([stage], force=True)
+            assert runner.read_manifest(stage).status == "failed"
+        make_runner(workspace).run()
+        reference = PipelineRunner(load_config(workspace, run_dir=str(tmp_path / "reference")))
+        reference.run()
+        assert run_tree_bytes(runner.run_dir) == run_tree_bytes(reference.run_dir)
 
 
 class TestDeterminism:
