@@ -13,9 +13,12 @@ string is built; the bytes are those of :func:`canonical_dumps` with
 ``compact=True``.  Documents are built as dicts in sorted key order and
 encoded without a per-object key sort.  The layout of the generation records
 (a text table the transcripts refer to) belongs to :mod:`docrte.generate`
-(``records_chunks`` and ``load_records``).  The JSON loaders take an optional
-``digest``: the bytes they parse must have that sha256, which lets a caller
-tie what it parsed to a digest it recorded earlier.
+(``records_chunks`` and ``load_records``).  DocRED sources are read one
+document at a time too (:func:`load_docred`): each row of the array becomes a
+document before the next is parsed, so a load costs about what the finished
+corpus holds plus the file's text.  The JSON loaders take an optional ``digest``:
+the bytes they parse must have that sha256, which lets a caller tie what it
+parsed to a digest it recorded earlier.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .model import (
     Corpus,
@@ -117,6 +120,7 @@ _COMPACT = json.JSONEncoder(ensure_ascii=False, sort_keys=True, allow_nan=False,
 # For dicts built in sorted key order: the same bytes without a sort per object.
 _COMPACT_AS_BUILT = json.JSONEncoder(ensure_ascii=False, allow_nan=False,
                                      separators=(",", ":"))
+_DECODE = json.JSONDecoder().raw_decode
 
 
 def compact_array_chunks(items: Iterable[Any], end: str = "\n",
@@ -132,23 +136,30 @@ def compact_array_chunks(items: Iterable[Any], end: str = "\n",
     yield ("[]" if sep == "[" else "]") + end
 
 
-def load_json(path: Path | str, digest: str | None = None) -> Any:
-    """Parse a JSON file.  With ``digest``, the bytes parsed must have that
-    sha256, or :class:`ChangedFileError` is raised."""
-    path = Path(path)
+def _read_json(path: Path | str, digest: str | None, parse: Callable[[str], Any]) -> Any:
+    """``parse`` of a JSON file's UTF-8 text, ``digest`` checked as in :func:`load_json`."""
     try:
-        data = path.read_bytes()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if digest is not None and (actual := hashlib.sha256(data).hexdigest()) != digest:
         raise ChangedFileError(f"{path} changed after its digest was taken "
                                f"(sha256 {actual}, expected {digest})")
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 at offset {exc.start}") from exc
     del data  # not held while the text is parsed
     try:
-        return json.loads(text)
+        return parse(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON at offset {exc.pos}: {exc.msg}") from exc
+
+
+def load_json(path: Path | str, digest: str | None = None) -> Any:
+    """Parse a JSON file.  With ``digest``, the bytes parsed must have that
+    sha256, or :class:`ChangedFileError` is raised."""
+    return _read_json(path, digest, json.loads)
 
 
 def sha256_text(text: str) -> str:
@@ -348,6 +359,70 @@ def load_corpus(path: Path | str, registry: RelationRegistry | None = None,
 # DocRED-style interchange
 
 
+def _array_items(text: str) -> Iterator[Any]:
+    """The items of the JSON array ``text``, each parsed when it is reached.
+    What ``json.loads`` rejects, or reads as no array, raises JSONDecodeError."""
+    skip = json.decoder.WHITESPACE.match
+    pos = skip(text).end()
+    if not text.startswith("[", pos):
+        raise json.JSONDecodeError("Expecting '[' (a top-level array)", text, pos)
+    pos = skip(text, pos + 1).end()
+    more = not text.startswith("]", pos)
+    while more:
+        item, pos = _DECODE(text, pos)
+        yield item
+        pos = skip(text, pos).end()
+        if more := text.startswith(",", pos):
+            pos = skip(text, pos + 1).end()
+        elif not text.startswith("]", pos):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+    pos = skip(text, pos + 1).end()
+    if pos != len(text):
+        raise json.JSONDecodeError("Extra data", text, pos)
+
+
+def _of(kind: type, value: Any, what: str) -> Any:
+    """``value`` if its type is exactly ``kind`` (so a bool is no int)."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} must be {kind.__name__}, not {value!r}")
+    return value
+
+
+def _docred_document(path: Path | str, index: int, row: Any,
+                     registry: RelationRegistry) -> Document:
+    """Row ``index`` of a DocRED file as a document; :class:`ParseError` if malformed."""
+    intern = sys.intern
+    try:
+        title = _of(str, row["title"], "title")
+        sents = [list(map(intern, s)) for s in _token_lists(row.get("sents") or [], "sents")]
+        entities = []
+        for cluster in row.get("vertexSet") or []:
+            mentions = []
+            for m in cluster:
+                start, end = m["pos"]
+                mentions.append(EntityMention(
+                    name=intern(_of(str, m["name"], "name")),
+                    sent_id=_of(int, m["sent_id"], "sent_id"),
+                    start=_of(int, start, "pos"), end=_of(int, end, "pos"),
+                    etype=intern(_of(str, m.get("type", "MISC"), "type"))))
+            if not mentions:
+                raise ValueError("empty vertex cluster")
+            entities.append(Entity(canonical_name=mentions[0].name, mentions=mentions))
+        labels = []
+        for lb in row.get("labels") or []:
+            rel = lb.get("r")
+            if rel not in registry:
+                raise ValueError(f"unknown relation id {rel!r}")
+            labels.append(TripletLabel(
+                head=_of(int, lb["h"], "h"), tail=_of(int, lb["t"], "t"), relation=intern(rel),
+                evidence=[_of(int, s, "evidence") for s in lb.get("evidence") or []]))
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:
+        title = row.get("title") if isinstance(row, dict) else None
+        raise ParseError(f"{path}: document {index} ({title!r}): "
+                         f"{type(exc).__name__}: {exc}") from exc
+    return Document(doc_id=title, title=title, sentences=sents, entities=entities, labels=labels)
+
+
 def load_docred(path: Path | str, registry: RelationRegistry,
                 digest: str | None = None) -> Corpus:
     """Read a DocRED-format JSON array into a human-provenance corpus.
@@ -355,61 +430,15 @@ def load_docred(path: Path | str, registry: RelationRegistry,
     Expected per-document schema: ``title``, ``sents`` (token lists),
     ``vertexSet`` (list of mention clusters with ``pos`` = [start, end)),
     ``labels`` (``h``/``t`` vertex indices, ``r`` relation id, ``evidence``).
-    Titles double as document ids and must be unique.  Tokens are interned:
-    a corpus repeats a small vocabulary, and the split views keep them for
-    later stages of a run.  ``digest`` is checked as in :func:`load_json`.
+    Titles double as document ids and must be unique.  Each row becomes a
+    document before the next is parsed, so no tree of the whole file is built.
+    Tokens, mention names, entity types and relation ids are interned: a
+    corpus repeats a small vocabulary, and the split views keep them for
+    later stages of a run.  A malformed row raises :class:`ParseError` naming
+    the file and the document.  ``digest`` is checked as in :func:`load_json`.
     """
-    data = load_json(path, digest)
-    if not isinstance(data, list):
-        raise ParseError(f"{path}: expected a top-level JSON array of documents")
-    documents = []
-    for row in data:
-        title = row.get("title")
-        if not title:
-            raise ParseError(f"{path}: document without title: {row!r}")
-        sents = [list(map(sys.intern, s))
-                 for s in _token_lists(row.get("sents") or [], f"{path}: {title!r}")]
-        entities = []
-        for cluster in row.get("vertexSet") or []:
-            if not cluster:
-                raise ParseError(f"{path}: {title!r} has an empty vertex cluster")
-            mentions = []
-            for m in cluster:
-                start, end = m.get("pos", (None, None))
-                sent_id = m.get("sent_id", -1)
-                if (
-                    not 0 <= sent_id < len(sents)
-                    or start is None
-                    or not 0 <= start < end <= len(sents[sent_id])
-                ):
-                    raise ParseError(
-                        f"{path}: {title!r} mention {m.get('name')!r} has out-of-range "
-                        f"span {m.get('pos')!r} in sentence {sent_id}"
-                    )
-                mentions.append(
-                    EntityMention(name=m["name"], sent_id=sent_id, start=start,
-                                  end=end, etype=m.get("type", "MISC"))
-                )
-            entities.append(Entity(canonical_name=mentions[0].name, mentions=mentions))
-        labels = []
-        for lb in row.get("labels") or []:
-            rel = lb.get("r")
-            if rel not in registry:
-                raise ParseError(
-                    f"{path}: {title!r} uses unknown relation id {rel!r}"
-                )
-            labels.append(
-                TripletLabel(
-                    head=lb["h"],
-                    tail=lb["t"],
-                    relation=rel,
-                    evidence=list(lb.get("evidence") or []),
-                )
-            )
-        documents.append(
-            Document(doc_id=title, title=title, sentences=sents,
-                     entities=entities, labels=labels)
-        )
+    documents = _read_json(path, digest, lambda text: [
+        _docred_document(path, i, row, registry) for i, row in enumerate(_array_items(text))])
     corpus = Corpus(documents=documents, provenance="human", registry=registry)
     validate_corpus(corpus, registry)
     return corpus

@@ -4,7 +4,7 @@ Documents carry whitespace-tokenized sentences, a list of entities (each a
 cluster of surface mentions), and triplet labels that point into the entity
 list by index.  Relational facts are identified by normalized entity keys so
 that the same fact can be recognized across documents regardless of surface
-casing or spacing.
+casing or spacing.  The document classes have slots: a corpus holds many.
 """
 from __future__ import annotations
 
@@ -121,7 +121,7 @@ class RelationRegistry:
             return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityMention:
     """One surface occurrence of an entity: token span [start, end) in a sentence."""
 
@@ -138,7 +138,7 @@ class EntityMention:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class Entity:
     """An entity cluster: its mentions plus a canonical name and identity key.
 
@@ -163,7 +163,7 @@ class Entity:
         return {m.sent_id for m in self.mentions}
 
 
-@dataclass
+@dataclass(slots=True)
 class TripletLabel:
     """A labeled relational fact inside one document.
 
@@ -186,7 +186,7 @@ class TripletLabel:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class Document:
     doc_id: str
     title: str

@@ -1,6 +1,6 @@
-"""Micro benchmarks for the mock world, corpus validation, mention grounding,
-relabeling, bulk JSON writes (corpora and generation records),
-finetune-data assembly and hashing a run directory's files.
+"""Micro benchmarks for the mock world, corpus validation, loading a DocRED
+source, mention grounding, relabeling, bulk JSON writes (corpora and
+generation records), finetune-data assembly and hashing a run directory's files.
 
 Each layer runs at two sizes; the larger one has four times the documents
 and four times the world facts, so near-linear code takes about four times
@@ -21,7 +21,13 @@ import pytest
 from docrte.backends import ScriptedBackend
 from docrte.config import config_from_dict, strip_json_comments
 from docrte.denoise import relabel_corpus
-from docrte.docio import file_digest, save_corpus, write_chunks_atomic
+from docrte.docio import (
+    file_digest,
+    load_docred,
+    save_corpus,
+    save_docred,
+    write_chunks_atomic,
+)
 from docrte.generate import (
     ChainConfig,
     generate_corpus,
@@ -30,7 +36,7 @@ from docrte.generate import (
     lowered_sentences,
     records_chunks,
 )
-from docrte.model import fact_keys, validate_corpus
+from docrte.model import Corpus, fact_keys, validate_corpus
 from docrte.pipeline import PipelineRunner
 from docrte.pseudo import (
     FinetunePolicy,
@@ -88,6 +94,15 @@ def test_mock_generation_corpus(benchmark, size):
 def test_validate_corpus(benchmark, scenario):
     _, _, corpus, _ = scenario
     benchmark(validate_corpus, corpus)
+
+
+@pytest.mark.benchmark(group="load_docred")
+def test_load_docred(benchmark, scenario, tmp_path):
+    world, _, corpus, _ = scenario
+    path = tmp_path / "source.json"
+    save_docred(Corpus(corpus.documents, "human", world.registry), path)
+    loaded = benchmark(load_docred, path, world.registry)
+    assert save_docred(loaded, tmp_path / "again.json") == file_digest(path)
 
 
 @pytest.mark.benchmark(group="mention_grounding")

@@ -8,7 +8,8 @@ corpora are handed from stage to stage in memory; the script times each
 stage around the runner's ``run_stage`` calls.  Then a second runner makes a
 no-op ``run()``.  Each size runs in a child process of its own, so its peak
 RSS is its alone.  The script prints per-stage wall time, the total, the
-no-op rerun and the MB it hashed, peak RSS, the bytes in the run directory
+no-op rerun and the MB it hashed, peak RSS (after each stage of the cold run,
+and at the end), the bytes in the run directory
 (in all and per top-level folder) and the line count of ``src/docrte``.
 
 Not collected by the default test run (its file name does not match
@@ -38,6 +39,10 @@ SEEDS = [11, 23, 37]
 M_UNSEEN = 20
 
 
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
 def measure(size: str, work: Path) -> dict:
     from docrte import pipeline
     from docrte.config import config_from_dict, strip_json_comments
@@ -51,7 +56,7 @@ def measure(size: str, work: Path) -> dict:
                 mock={"facts_per_relation": facts})
     config = config_from_dict(data, base_dir=work)
     runner = PipelineRunner(config)
-    stages = {}
+    stages, stage_rss = {}, {}
     run_stage = runner.run_stage
 
     def timed(stage, force=False):
@@ -60,6 +65,7 @@ def measure(size: str, work: Path) -> dict:
             return run_stage(stage, force)
         finally:
             stages[stage] = time.perf_counter() - started
+            stage_rss[stage] = peak_rss_mb()
 
     runner.run_stage = timed  # run() looks the method up on the instance
     started = time.perf_counter()
@@ -94,7 +100,8 @@ def measure(size: str, work: Path) -> dict:
         "total_s": total,
         "noop_s": noop,
         "noop_hashed_mb": sum(hashed) / 1e6,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
+        "peak_rss_mb": peak_rss_mb(),
+        "stage_peak_rss_mb": stage_rss,
         "run_dir_mb": sum(folders.values()),
         "folders_mb": dict(sorted(folders.items())),
     }
@@ -122,15 +129,17 @@ def main(argv: list[str]) -> None:
         results.append(json.loads(child.stdout.splitlines()[-1]))
     rows = [(f"{stage} (s)", [r["stages_s"][stage] for r in results])
             for stage in results[0]["stages_s"]]
+    rows += [(f"peak RSS after {stage} (MB)", [r["stage_peak_rss_mb"][stage] for r in results])
+             for stage in results[0]["stage_peak_rss_mb"]]
     rows += [(label, [r[key] for r in results])
              for label, key in (("total (s)", "total_s"), ("no-op rerun (s)", "noop_s"),
                                 ("no-op hashed (MB)", "noop_hashed_mb"),
                                 ("peak RSS (MB)", "peak_rss_mb"), ("run dir (MB)", "run_dir_mb"))]
     rows += [(f"  {folder} (MB)", [r["folders_mb"].get(folder, 0.0) for r in results])
              for folder in results[0]["folders_mb"]]
-    print(f"{'':<28}" + "".join(f"{r['size']:>10}" for r in results))
+    print(f"{'':<44}" + "".join(f"{r['size']:>10}" for r in results))
     for label, values in rows:
-        print(f"{label:<28}" + "".join(f"{v:>10.2f}" for v in values))
+        print(f"{label:<44}" + "".join(f"{v:>10.2f}" for v in values))
     totals = {r["size"]: r["total_s"] for r in results}
     if len(totals) == 2:
         print(f"L / M total: {totals['L'] / totals['M']:.2f}x")

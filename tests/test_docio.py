@@ -1,16 +1,19 @@
 """Serialization: canonical JSON, corpus round-trips, interchange format."""
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
 
 from docrte.docio import (
     CORPUS_VERSION,
@@ -52,9 +55,10 @@ from docrte.pseudo import (
     assemble_finetune_dataset,
     write_finetune_file,
 )
+from docrte.simulate import build_world, synthetic_registry, world_documents
 from docrte.split import SplitSpec, save_split_spec
 
-from conftest import TRICKY, build_corpus, build_doc
+from conftest import TRICKY, build_corpus, build_doc, make_registry
 
 
 class TestCanonicalDumps:
@@ -381,7 +385,7 @@ class TestInterchangeFormat:
 
     def test_equal_tokens_share_one_string(self, tmp_path, registry6):
         # split hands its views to later stages of a run, so a source corpus
-        # keeps one string per distinct token
+        # keeps one string per distinct token, mention name, type and relation id
         first, second = _docred_record(), _docred_record()
         second["title"] = "doc-2"
         path = tmp_path / "train.json"
@@ -390,6 +394,205 @@ class TestInterchangeFormat:
         assert docs[0].sentences == docs[1].sentences
         for a, b in zip(docs[0].sentences, docs[1].sentences):
             assert all(x is y for x, y in zip(a, b))
+        mentions = [[m for e in d.entities for m in e.mentions] for d in docs]
+        for a, b in zip(*mentions):
+            assert a.name is b.name and a.etype is b.etype
+        assert [e.canonical_name for e in docs[0].entities] == ["Ada Byron", "Acme Corp", "London"]
+        for a, b in zip(docs[0].labels, docs[1].labels):
+            assert a.relation is b.relation
+
+    def test_load_with_a_digest_checks_the_bytes_parsed(self, tmp_path, registry6):
+        path = _write_rows(tmp_path, [_docred_record()])
+        digest = file_digest(path)
+        assert len(load_docred(path, registry6, digest)) == 1
+        path.write_text(json.dumps([]))
+        with pytest.raises(ChangedFileError, match="source.json changed"):
+            load_docred(path, registry6, digest)
+
+
+def _write_rows(tmp_path, rows):
+    path = tmp_path / "source.json"
+    path.write_text(json.dumps(rows, ensure_ascii=False), encoding="utf-8")
+    return path
+
+
+# One bad field each.  Before rows were checked one by one, most of these
+# escaped as a KeyError, TypeError, AttributeError or ValueError (so the CLI
+# called them a stage failure), and an int title or type, or a bool for an
+# int, was accepted.
+MALFORMED_ROWS = {
+    "mention without name": lambda row: row["vertexSet"][0][0].pop("name"),
+    "mention without pos": lambda row: row["vertexSet"][0][0].pop("pos"),
+    "label without h": lambda row: row["labels"][0].pop("h"),
+    "string sent_id": lambda row: row["vertexSet"][0][0].update(sent_id="0"),
+    "bool sent_id": lambda row: row["vertexSet"][0][0].update(sent_id=False),
+    "string h": lambda row: row["labels"][0].update(h="1"),
+    "string evidence": lambda row: row["labels"][0].update(evidence="0"),
+    "mention not an object": lambda row: row["vertexSet"][0].append("Ada"),
+    "int name": lambda row: row["vertexSet"][2][0].update(name=7),
+    "pos with three items": lambda row: row["vertexSet"][0][0].update(pos=[0, 1, 2]),
+    "int title": lambda row: row.update(title=7),
+    "int type": lambda row: row["vertexSet"][0][0].update(type=3),
+    "reversed span": lambda row: row["vertexSet"][0][0].update(pos=[2, 0]),
+    "blank name": lambda row: row["vertexSet"][2][0].update(name=" "),
+}
+
+
+class TestMalformedRows:
+    @pytest.mark.parametrize("edit", list(MALFORMED_ROWS.values()), ids=list(MALFORMED_ROWS))
+    def test_named_parse_error(self, tmp_path, registry6, edit):
+        bad = dict(_docred_record(), title="doc-2")
+        edit(bad)
+        with pytest.raises(ParseError, match=r"source\.json: document 1 \(('doc-2'|7)\): "):
+            load_docred(_write_rows(tmp_path, [_docred_record(), bad]), registry6)
+
+    @pytest.mark.parametrize("row", [["doc-2"], "doc-2", 7, None])
+    def test_row_that_is_not_an_object(self, tmp_path, registry6, row):
+        with pytest.raises(ParseError, match=r"source\.json: document 1 \(None\): "):
+            load_docred(_write_rows(tmp_path, [_docred_record(), row]), registry6)
+
+
+SPACE = st.text(alphabet=" \t\n\r", max_size=3)
+TOKEN = st.text(alphabet=list('aZ"\\/é€«😀\x7f'), min_size=1, max_size=4)
+
+
+@st.composite
+def docred_rows(draw):
+    rows = []
+    for i in range(draw(st.integers(0, 3))):
+        sents = draw(st.lists(st.lists(TOKEN, min_size=2, max_size=4), min_size=1, max_size=2))
+        vertex_set = [[{"name": sents[0][k], "pos": [k, k + 1], "sent_id": 0,
+                        "type": draw(st.sampled_from(["PER", "ORG"]))}] for k in (0, 1)]
+        labels = [{"h": 0, "t": 1, "r": draw(st.sampled_from(["R1", "R2"])), "evidence": [0]}]
+        rows.append({"title": f"doc-{i}{draw(TOKEN)}", "sents": sents,
+                     "vertexSet": vertex_set, "labels": labels[:draw(st.integers(0, 1))]})
+    return rows
+
+
+def laid_out(value, space):
+    """``value`` as JSON text with the whitespace ``space()`` draws around each token."""
+    if isinstance(value, list):
+        items, brackets = [laid_out(v, space) for v in value], "[]"
+    elif isinstance(value, dict):
+        items, brackets = [f"{json.dumps(k, ensure_ascii=False)}{space()}:{space()}"
+                           f"{laid_out(v, space)}" for k, v in value.items()], "{}"
+    else:
+        return json.dumps(value, ensure_ascii=False)
+    return brackets[0] + (",".join(space() + item + space() for item in items) or space()) \
+        + brackets[1]
+
+
+def _resaved(corpus, tmp_path):
+    save_docred(corpus, tmp_path / "resaved.json")
+    return json.loads((tmp_path / "resaved.json").read_text(encoding="utf-8"))
+
+
+class TestStreamedReader:
+    @given(docred_rows(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_layout_reads_as_json_loads_does(self, rows, data):
+        space = lambda: data.draw(SPACE)
+        text = space() + laid_out(rows, space) + space()
+        assert json.loads(text) == rows
+        registry = make_registry(("R1", "employer"), ("R2", "founded by"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "source.json"
+            path.write_text(text, encoding="utf-8", newline="")
+            assert _resaved(load_docred(path, registry), Path(tmp)) == rows
+
+    @pytest.mark.parametrize("layout", [
+        lambda rows: json.dumps(rows, indent=2),
+        lambda rows: json.dumps(rows, indent="\t", ensure_ascii=False).replace("\n", "\r\n"),
+        lambda rows: json.dumps(rows, separators=(" , ", " : ")),
+        lambda rows: "\r\n " + json.dumps(rows, ensure_ascii=False) + " \n\t",
+    ])
+    def test_fixed_layouts(self, tmp_path, registry6, layout):
+        rows = [_docred_record(), dict(_docred_record(), title="Łódź «2»")]
+        path = tmp_path / "source.json"
+        path.write_text(layout(rows), encoding="utf-8", newline="")
+        assert _resaved(load_docred(path, registry6), tmp_path) == rows
+
+    @pytest.mark.parametrize("text", ["[]", " [ ] ", "\r\n[\t]\n"])
+    def test_empty_arrays(self, tmp_path, registry6, text):
+        path = tmp_path / "source.json"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert len(load_docred(path, registry6)) == 0
+
+    # each rejected by json.loads, or (the last four) not an array; R is a
+    # valid row, so the error found is the syntax error
+    REJECTED = ["", " ", "[", "]", "[,]", "[R,]", "[,R]", "[R R]", "[R,,R]", "[R]]", "[R] R",
+                "[R] []", "[R", '[R,"a]', "[R,-]", "[R}", "\ufeff[]", "\x0c[R]", "[R]\x0b",
+                "[\u00a0R]", "{}", '{"title": "t"}', "1", "null"]
+
+    @pytest.mark.parametrize("text", REJECTED)
+    def test_rejected_with_the_offset(self, tmp_path, registry6, text):
+        path = tmp_path / "source.json"
+        path.write_text(text.replace("R", json.dumps(_docred_record())), encoding="utf-8",
+                        newline="")
+        try:
+            parsed = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError:
+            parsed = None
+        assert not isinstance(parsed, list)
+        with pytest.raises(ParseError, match=r"source\.json: malformed JSON at offset \d+"):
+            load_docred(path, registry6)
+
+    def test_not_utf8_rejected(self, tmp_path, registry6):
+        path = tmp_path / "source.json"
+        path.write_bytes(b'[{"title": "\xff"}]')
+        with pytest.raises(ParseError, match="not UTF-8 at offset 12"):
+            load_docred(path, registry6)
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_json(path)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_text_json_loads_rejects_is_rejected(self, data):
+        text = json.dumps([_docred_record(), dict(_docred_record(), title="d2")])
+        at = data.draw(st.integers(0, len(text)))
+        edit = data.draw(st.sampled_from(["", ",", "[", "]", "{", "}", '"', ":", " ", "0", "x"]))
+        cut = data.draw(st.integers(0, 2))
+        text = text[:at] + edit + text[at + cut:]
+        try:
+            expected = json.loads(text)
+        except json.JSONDecodeError:
+            expected = None
+        registry = make_registry(("R2", "founded by"), ("R6", "located in"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "source.json"
+            path.write_text(text, encoding="utf-8")
+            if not isinstance(expected, list):
+                with pytest.raises(ParseError):
+                    load_docred(path, registry)
+                return
+            try:
+                corpus = load_docred(path, registry)
+            except (ParseError, ValidationError):
+                return  # valid JSON, but no longer valid DocRED rows
+            assert len(corpus) == len(expected)
+
+    def test_load_holds_little_beyond_the_corpus(self, tmp_path):
+        """While a source loads, the memory that is not part of the corpus it
+        returns stays below twice the file (a whole-file tree took 6.5 times)."""
+        registry = synthetic_registry(30)
+        ids = registry.ids()
+        world = build_world(registry, ids, seed=1, facts_per_relation=3, related_pool=ids,
+                            n_related=2)
+        corpus = world_documents(world, 10, facts_per_doc=3, seed=1)
+        path = tmp_path / "train.json"
+        save_docred(corpus, path)
+        size = path.stat().st_size
+        assert path.read_bytes().isascii() and len(corpus) == 300
+        load_docred(path, registry)  # warm the name-key memo
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loaded = load_docred(path, registry)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 300
+        assert peak - retained < 2 * size
 
 
 # Sentences that are not lists of strings; the first is the DocRED mistake of

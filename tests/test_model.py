@@ -1,6 +1,8 @@
 """Core model invariants: normalization, registries, documents, fact keys."""
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, asdict, replace
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -135,6 +137,47 @@ class TestDocumentHelpers:
         )
         assert doc.key_to_index() == {"un": 0}
         assert doc.entity_keys() == {"un"}
+
+
+class TestLeanDocuments:
+    """The document classes have slots; everything else about them is as before."""
+
+    @staticmethod
+    def parts(doc):
+        return [doc, doc.entities[0], doc.entities[0].mentions[0], doc.labels[0]]
+
+    def test_no_instance_dict(self):
+        doc = build_doc("d1", ["Acme Corp", "Ada"], [("Acme Corp", "Ada", "R1", [0])])
+        for part in self.parts(doc):
+            assert not hasattr(part, "__dict__"), type(part).__name__
+            # a frozen class with slots refuses a new attribute with a
+            # TypeError on Python 3.11 (its __setattr__ names the class it replaced)
+            with pytest.raises((AttributeError, TypeError)):
+                part.note = "x"
+        with pytest.raises(FrozenInstanceError):
+            doc.entities[0].mentions[0].name = "x"
+
+    def test_replace_asdict_and_equality(self):
+        doc = build_doc("d1", ["Acme Corp", "Ada"], [("Acme Corp", "Ada", "R1", [0])])
+        assert asdict(doc) == {
+            "doc_id": "d1", "title": "About d1", "sentences": doc.sentences,
+            "entities": [{"canonical_name": name, "key": name.lower(), "mentions": [
+                {"name": name, "sent_id": i, "start": 0, "end": len(name.split()), "etype": "ORG"}]}
+                for i, name in enumerate(["Acme Corp", "Ada"])],
+            "labels": [{"head": 0, "tail": 1, "relation": "R1", "evidence": [0], "reason": None,
+                        "support": None}]}
+        for part in self.parts(doc):
+            copy = replace(part)
+            assert copy == part and copy is not part
+        assert replace(doc, title="other") != doc
+        assert replace(doc.entities[0], key="acme") != doc.entities[0]
+        mention = doc.entities[0].mentions[0]
+        assert hash(replace(mention)) == hash(mention)
+        assert replace(mention, etype="PER") != mention
+        with pytest.raises(ValidationError):
+            replace(mention, end=0)
+        relabelled = replace(doc, labels=[replace(doc.labels[0], relation="R2")])
+        assert relabelled.entities is doc.entities and doc.labels[0].relation == "R1"
 
 
 class TestFactKey:

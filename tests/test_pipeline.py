@@ -870,6 +870,16 @@ class TestCli:
         assert "missing stage" in result.stderr
         assert "error:" in result.stderr
 
+    def test_malformed_source_row_exits_1(self, workspace):
+        source = workspace.parent / "train.json"
+        rows = json.loads(source.read_text(encoding="utf-8"))
+        del rows[0]["vertexSet"][0][0]["name"]
+        source.write_text(json.dumps(rows), encoding="utf-8")
+        result = CliRunner().invoke(main, ["--config", str(workspace), "split"])
+        assert result.exit_code == 1, result.output
+        assert "train.json: document 0 " in result.stderr
+        assert "KeyError: 'name'" in result.stderr
+
     def test_missing_config_exits_1(self, tmp_path):
         result = CliRunner().invoke(
             main, ["--config", str(tmp_path / "absent.json"), "split"])
