@@ -14,7 +14,8 @@ import click
 from .config import CHAT_BACKENDS, ConfigError, PipelineConfig, load_config
 from .docio import ParseError
 from .model import ValidationError
-from .pipeline import MissingStageError, PipelineRunner, StageError
+from .pipeline import PipelineRunner, StageError
+from .split import SplitError
 
 
 def _fail(message: str, code: int) -> None:
@@ -40,11 +41,9 @@ def _execute(ctx: click.Context, stages: list[str] | None, force: bool) -> Pipel
     runner = _runner(ctx)
     try:
         outcomes = runner.run(stages, force=force)
-    except MissingStageError as exc:
+    except StageError as exc:  # MissingStageError too
         _fail(str(exc), 2)
-    except StageError as exc:
-        _fail(str(exc), 2)
-    except (ParseError, ValidationError, ConfigError) as exc:
+    except (ParseError, ValidationError, ConfigError, SplitError) as exc:
         _fail(str(exc), 1)
     for outcome in outcomes:
         note = "" if outcome.status == "ran" else " (up to date)"

@@ -14,9 +14,9 @@ string is built; the bytes are those of :func:`canonical_dumps` with
 encoded without a per-object key sort.  The layout of the generation records
 (a text table the transcripts refer to) belongs to :mod:`docrte.generate`
 (``records_chunks`` and ``load_records``).  DocRED sources are read one
-document at a time too (:func:`load_docred`): each row of the array becomes a
-document before the next is parsed, so a load costs about what the finished
-corpus holds plus the file's text.  The JSON loaders take an optional ``digest``:
+document at a time too (:func:`iter_docred`): each row of the array becomes a
+checked document before the next is parsed, so a reader holds the file's text
+and what it keeps of the documents.  The JSON loaders take an optional ``digest``:
 the bytes they parse must have that sha256, which lets a caller tie what it
 parsed to a digest it recorded earlier.
 """
@@ -38,7 +38,7 @@ from .model import (
     RelationRegistry,
     RelationType,
     TripletLabel,
-    validate_corpus,
+    validated,
 )
 
 CORPUS_VERSION = 1
@@ -136,8 +136,9 @@ def compact_array_chunks(items: Iterable[Any], end: str = "\n",
     yield ("[]" if sep == "[" else "]") + end
 
 
-def _read_json(path: Path | str, digest: str | None, parse: Callable[[str], Any]) -> Any:
-    """``parse`` of a JSON file's UTF-8 text, ``digest`` checked as in :func:`load_json`."""
+def _read_json(path: Path | str, digest: str | None, parse: Callable[[str], Iterable]) -> Iterator:
+    """The items ``parse`` makes of a JSON file's UTF-8 text, as it makes them;
+    ``digest`` is checked as in :func:`load_json`."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -151,7 +152,7 @@ def _read_json(path: Path | str, digest: str | None, parse: Callable[[str], Any]
         raise ParseError(f"{path}: not UTF-8 at offset {exc.start}") from exc
     del data  # not held while the text is parsed
     try:
-        return parse(text)
+        yield from parse(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON at offset {exc.pos}: {exc.msg}") from exc
 
@@ -159,7 +160,7 @@ def _read_json(path: Path | str, digest: str | None, parse: Callable[[str], Any]
 def load_json(path: Path | str, digest: str | None = None) -> Any:
     """Parse a JSON file.  With ``digest``, the bytes parsed must have that
     sha256, or :class:`ChangedFileError` is raised."""
-    return _read_json(path, digest, json.loads)
+    return next(_read_json(path, digest, lambda text: [json.loads(text)]))
 
 
 def sha256_text(text: str) -> str:
@@ -346,13 +347,8 @@ def load_corpus(path: Path | str, registry: RelationRegistry | None = None,
             f"{path}: corpus version {data['version']!r} is not supported "
             f"(expected {CORPUS_VERSION})"
         )
-    corpus = Corpus(
-        documents=[document_from_json(row) for row in data["documents"]],
-        provenance=data["provenance"],
-        registry=registry,
-    )
-    validate_corpus(corpus, registry)
-    return corpus
+    return Corpus(list(validated(map(document_from_json, data["documents"]), registry)),
+                  data["provenance"], registry)
 
 
 # ---------------------------------------------------------------------------
@@ -423,25 +419,27 @@ def _docred_document(path: Path | str, index: int, row: Any,
     return Document(doc_id=title, title=title, sentences=sents, entities=entities, labels=labels)
 
 
+def iter_docred(path: Path | str, registry: RelationRegistry,
+                digest: str | None = None) -> Iterator[Document]:
+    """Each row of a DocRED-format JSON array as a document, checked before the
+    next row is parsed: no tree of the whole file is built, and the first bad
+    row in file order is the one reported, as :class:`ParseError` (naming the
+    file and the document) if malformed, as :class:`ValidationError` if invalid
+    or a repeated title.  ``digest`` is checked as in :func:`load_json`.
+
+    Rows have ``title`` (the unique document id), ``sents`` (token lists),
+    ``vertexSet`` (mention clusters, ``pos`` = [start, end)) and ``labels``
+    (``h``/``t`` vertex indices, ``r`` relation id, ``evidence``); tokens, names,
+    types and relation ids are interned, as a corpus repeats a small vocabulary.
+    """
+    rows = enumerate(_read_json(path, digest, _array_items))
+    return validated((_docred_document(path, i, row, registry) for i, row in rows), registry)
+
+
 def load_docred(path: Path | str, registry: RelationRegistry,
                 digest: str | None = None) -> Corpus:
-    """Read a DocRED-format JSON array into a human-provenance corpus.
-
-    Expected per-document schema: ``title``, ``sents`` (token lists),
-    ``vertexSet`` (list of mention clusters with ``pos`` = [start, end)),
-    ``labels`` (``h``/``t`` vertex indices, ``r`` relation id, ``evidence``).
-    Titles double as document ids and must be unique.  Each row becomes a
-    document before the next is parsed, so no tree of the whole file is built.
-    Tokens, mention names, entity types and relation ids are interned: a
-    corpus repeats a small vocabulary, and the split views keep them for
-    later stages of a run.  A malformed row raises :class:`ParseError` naming
-    the file and the document.  ``digest`` is checked as in :func:`load_json`.
-    """
-    documents = _read_json(path, digest, lambda text: [
-        _docred_document(path, i, row, registry) for i, row in enumerate(_array_items(text))])
-    corpus = Corpus(documents=documents, provenance="human", registry=registry)
-    validate_corpus(corpus, registry)
-    return corpus
+    """The documents of :func:`iter_docred` as a human-provenance corpus."""
+    return Corpus(list(iter_docred(path, registry, digest)), "human", registry)
 
 
 def _docred_row(doc: Document) -> dict[str, Any]:

@@ -328,10 +328,18 @@ def validate_document(doc: Document, registry: RelationRegistry | None = None) -
                 )
 
 
-def validate_corpus(corpus: Corpus, registry: RelationRegistry | None = None) -> None:
+def validated(documents: Iterable[Document],
+              registry: RelationRegistry | None = None) -> Iterator[Document]:
+    """``documents``, each yielded once :func:`validate_document` passed and its doc_id is new."""
     seen_ids: set[str] = set()
-    for doc in corpus.documents:
+    for doc in documents:
         if doc.doc_id in seen_ids:
             raise ValidationError(f"duplicate doc_id {doc.doc_id!r}")
         seen_ids.add(doc.doc_id)
-        validate_document(doc, registry or corpus.registry)
+        validate_document(doc, registry)
+        yield doc
+
+
+def validate_corpus(corpus: Corpus, registry: RelationRegistry | None = None) -> None:
+    for _ in validated(corpus.documents, registry or corpus.registry):
+        pass

@@ -16,14 +16,14 @@ file that a resume would mistake for a completed one.
 
 Within one :meth:`PipelineRunner.run`, a corpus is handed to the later
 stages that load it (``Stage.loads``) without being read back: split's train
-view to finetune-data and its dev and test views to evaluate,
-``synthetic_<seed>`` from generate to pseudo-label and denoise,
-``denoised_<seed>`` from denoise to finetune-data-denoised.  It is dropped
-after its last reader ran and when the run ends; a stage run on its own loads
-the file.  With the mock backend and predictor, pseudo-label's oracle likewise
-reuses the truth corpus of the mock world generate built for the same seed in
-the same run; otherwise it rebuilds the world, a pure function of the config,
-seed and split.
+view to finetune-data and its dev and test views to evaluate (split reads each
+source once for every seed and holds no source corpus), ``synthetic_<seed>``
+from generate to pseudo-label and denoise, ``denoised_<seed>`` from denoise
+to finetune-data-denoised.  It is dropped after its last reader ran and when
+the run ends; a stage run on its own loads the file.  With the mock backend
+and predictor, pseudo-label's oracle likewise reuses the truth corpus of the
+mock world generate built for the same seed in the same run; otherwise it
+rebuilds the world, a pure function of the config, seed and split.
 
 A run hashes each file at most once.  A file it wrote takes the digest its
 writer returned; any other file (config sources, run files of skipped stages)
@@ -62,6 +62,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import reduce
+from itertools import product
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -72,8 +73,8 @@ from .docio import (
     ParseError,
     canonical_dumps,
     file_digest,
+    iter_docred,
     load_corpus,
-    load_docred,
     load_json,
     load_registry,
     save_corpus,
@@ -93,7 +94,7 @@ from .evaluate import (
     save_predictions,
 )
 from .generate import ChainConfig, generate_corpus, records_chunks
-from .model import Corpus, RelationRegistry, ValidationError
+from .model import Corpus, Document, RelationRegistry, ValidationError
 from .prompts import PromptLibrary
 from .pseudo import (
     FinetunePolicy,
@@ -110,7 +111,7 @@ from .pseudo import (
     write_finetune_file,
 )
 from .simulate import chat_script, mock_generation_corpus
-from .split import SplitSpec, apply_split, sample_unseen, save_split_spec
+from .split import SplitBundle, SplitError, SplitSpec, sample_unseen, save_split_spec, view_document
 
 logger = logging.getLogger(__name__)
 
@@ -216,9 +217,11 @@ class Stage:
                 for dep, keys in self.reads.items() for key in keys for seed in seeds}
 
 
+SPLIT_VIEWS = ("train", "dev", "test")  # of the sources in config fields <key>_docs
+
 STAGES: dict[str, Stage] = {stage.name: stage for stage in (
     Stage("split", reads={},
-          writes={key: f"split/{key}_{{seed}}.json" for key in ("spec", "train", "dev", "test")},
+          writes={key: f"split/{key}_{{seed}}.json" for key in ("spec",) + SPLIT_VIEWS},
           params=("m", "mixed_policy"),
           sources=lambda cfg: {f"config:{name}": Path(getattr(cfg, name))
                                for name in ("registry", "train_docs", "dev_docs", "test_docs")}),
@@ -274,7 +277,7 @@ STAGE_GC_GEN0 = 100_000
 class _Held(NamedTuple):
     """A corpus kept in memory for a later stage of the current run."""
 
-    digest: str  # of the bytes it was written as or parsed from
+    digest: str  # of the bytes it was written as
     corpus: Corpus
     last_reader: str  # the stage after which it is dropped
 
@@ -295,6 +298,7 @@ class _Run:
     # a run builds each world once; an oracle holds far less than its corpus
     oracles: dict[tuple[int, SplitSpec], OraclePredictor] = field(default_factory=dict)
     held: dict[Path, _Held] = field(default_factory=dict)  # corpora for later stages
+    split_views: dict[int, SplitBundle] = field(default_factory=dict)  # by seed, until written
 
 
 @dataclass
@@ -541,9 +545,9 @@ class PipelineRunner:
                 stage=stage, status="failed", inputs=inputs, outputs={},
                 started_at=started, finished_at=_now(), error=str(exc),
             ))
-            # Input-format and validation problems keep their type so the CLI
-            # can report them as bad input rather than a pipeline fault.
-            if isinstance(exc, (StageError, ParseError, ValidationError)):
+            # Input-format, validation and split-parameter problems keep their
+            # type so the CLI can report them as bad input, not a pipeline fault.
+            if isinstance(exc, (StageError, ParseError, ValidationError, SplitError)):
                 raise
             raise StageError(f"stage {stage} failed: {exc}") from exc
         finally:
@@ -676,18 +680,30 @@ class PipelineRunner:
     # -- stages ---------------------------------------------------------------
 
     def _stage_split(self, seed: int) -> None:
-        cfg, held = self.config, self._run.held
-        sources = {n: Path(getattr(cfg, n)) for n in ("train_docs", "dev_docs", "test_docs")}
-        for name, path in sources.items():
-            if path not in held:  # parsed once for every seed
-                digest = self._run.inputs[f"config:{name}"]
-                held[path] = _Held(digest, load_docred(path, self.registry, digest), "split")
-        spec = sample_unseen(self.registry, cfg.m, seed)
-        bundle = apply_split(*(held[p].corpus for p in sources.values()), spec, cfg.mixed_policy)
-        self._write("split", seed, "spec", lambda path: save_split_spec(spec, path))
-        for key, view in (("train", bundle.train), ("dev", bundle.eval_dev),
-                          ("test", bundle.eval_test)):
+        if not self._run.split_views:  # the first seed's call builds every seed's views
+            self._run.split_views = self._split_views()
+        bundle = self._run.split_views.pop(seed)
+        self._write("split", seed, "spec", lambda path: save_split_spec(bundle.spec, path))
+        for key, view in zip(SPLIT_VIEWS, (bundle.train, bundle.eval_dev, bundle.eval_test)):
             self._save_corpus("split", seed, key, view)
+
+    def _split_views(self) -> dict[int, SplitBundle]:
+        """Every seed's split views, its specs sampled before each source file
+        is read once: each document goes into every view as it is read."""
+        cfg, registry = self.config, self.registry
+        specs = [sample_unseen(registry, cfg.m, seed) for seed in cfg.seeds]
+        paths = {key: Path(getattr(cfg, f"{key}_docs")) for key in SPLIT_VIEWS}
+        views: dict[tuple[int, str], list[Document]] = {
+            (spec.seed, key): [] for spec in specs for key in SPLIT_VIEWS}
+        for path in dict.fromkeys(paths.values()):
+            keys = [key for key in SPLIT_VIEWS if paths[key] == path]
+            for doc in iter_docred(path, registry, self._run.inputs[f"config:{keys[0]}_docs"]):
+                for key, spec in product(keys, specs):
+                    view = view_document(doc, spec, cfg.mixed_policy if key == "train" else None)
+                    if view is not None:
+                        views[spec.seed, key].append(view)
+        return {spec.seed: SplitBundle(spec, *(Corpus(views[spec.seed, key], "human", registry)
+                                               for key in SPLIT_VIEWS)) for spec in specs}
 
     def _stage_generate(self, seed: int) -> None:
         cfg = self.config

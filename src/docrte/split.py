@@ -4,6 +4,8 @@ A split hides ``m`` relation types from training entirely.  Training keeps
 only documents whose labels all use seen relations (by default mixed-label
 documents are dropped, not stripped), and evaluation keeps documents with at
 least one unseen-relation label, with gold restricted to unseen relations.
+:func:`view_document` is one document's form in a view; :func:`apply_split` and
+the pipeline's split stage (over each source as it is read) map it over documents.
 """
 from __future__ import annotations
 
@@ -90,30 +92,30 @@ class SplitBundle:
     eval_dev: Corpus
     eval_test: Corpus
 
-
-def _train_view(corpus: Corpus, spec: SplitSpec, mixed_policy: str) -> Corpus:
-    kept: list[Document] = []
-    for doc in corpus.documents:
-        rels = {lb.relation for lb in doc.labels}
-        if rels <= spec.seen:
-            kept.append(doc)
-        elif mixed_policy == "strip":
-            seen_labels = [lb for lb in doc.labels if lb.relation in spec.seen]
-            # Only genuinely mixed documents survive stripping; a document
-            # with no seen-relation label contributes nothing to training.
-            if seen_labels:
-                kept.append(replace(doc, labels=seen_labels))
-        # mixed_policy == "drop": document leaks unseen facts, exclude it
-    return Corpus(documents=kept, provenance=corpus.provenance, registry=corpus.registry)
+    def __post_init__(self) -> None:
+        for name in ("eval_dev", "eval_test"):
+            if not getattr(self, name).documents:
+                logger.warning("split seed=%d m=%d: %s is empty", self.spec.seed, self.spec.m, name)
 
 
-def _eval_view(corpus: Corpus, spec: SplitSpec) -> Corpus:
-    kept = []
-    for doc in corpus.documents:
-        unseen_labels = [lb for lb in doc.labels if lb.relation in spec.unseen]
-        if unseen_labels:
-            kept.append(replace(doc, labels=unseen_labels))
-    return Corpus(documents=kept, provenance=corpus.provenance, registry=corpus.registry)
+def view_document(doc: Document, spec: SplitSpec, mixed_policy: str | None) -> Document | None:
+    """``doc`` as a view of ``spec`` holds it, or None when the view leaves it
+    out: its training form under ``mixed_policy`` (see :func:`apply_split`),
+    or with None its evaluation form, kept when it has an unseen label."""
+    relations = {lb.relation for lb in doc.labels}
+    if mixed_policy is not None and relations <= spec.seen:
+        return doc
+    # "drop" excludes a mixed document, which would leak unseen facts; a
+    # stripped one with no seen label left contributes nothing to training
+    keep = spec.unseen if mixed_policy is None else spec.seen
+    if mixed_policy == "drop" or relations.isdisjoint(keep):
+        return None
+    return replace(doc, labels=[lb for lb in doc.labels if lb.relation in keep])
+
+
+def _view(corpus: Corpus, spec: SplitSpec, mixed_policy: str | None) -> Corpus:
+    views = (view_document(doc, spec, mixed_policy) for doc in corpus.documents)
+    return Corpus([doc for doc in views if doc is not None], corpus.provenance, corpus.registry)
 
 
 def apply_split(
@@ -123,7 +125,7 @@ def apply_split(
     spec: SplitSpec,
     mixed_policy: str = "drop",
 ) -> SplitBundle:
-    """Partition source corpora according to a split spec.
+    """Partition source corpora according to a split spec, by :func:`view_document`.
 
     ``mixed_policy`` controls training documents that mix seen and unseen
     labels: ``"drop"`` excludes them (the default, avoids any unseen leakage
@@ -132,13 +134,5 @@ def apply_split(
     """
     if mixed_policy not in MIXED_POLICIES:
         raise SplitError(f"mixed_policy must be one of {MIXED_POLICIES}, got {mixed_policy!r}")
-    bundle = SplitBundle(
-        spec=spec,
-        train=_train_view(train_src, spec, mixed_policy),
-        eval_dev=_eval_view(dev_src, spec),
-        eval_test=_eval_view(test_src, spec),
-    )
-    for name, corpus in (("eval_dev", bundle.eval_dev), ("eval_test", bundle.eval_test)):
-        if not corpus.documents:
-            logger.warning("split seed=%d m=%d: %s is empty", spec.seed, spec.m, name)
-    return bundle
+    return SplitBundle(spec, _view(train_src, spec, mixed_policy), _view(dev_src, spec, None),
+                       _view(test_src, spec, None))

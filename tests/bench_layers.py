@@ -1,6 +1,8 @@
 """Micro benchmarks for the mock world, corpus validation, loading a DocRED
-source, mention grounding, relabeling, bulk JSON writes (corpora and
-generation records), finetune-data assembly and hashing a run directory's files.
+source, the split stage, mention grounding, relabeling, bulk JSON writes
+(corpora and generation records), finetune-data assembly and hashing a run
+directory's files.  The split stage also reports its tracemalloc peak in the
+benchmark's ``extra_info`` (``--benchmark-json``) and on standard output (``-s``).
 
 Each layer runs at two sizes; the larger one has four times the documents
 and four times the world facts, so near-linear code takes about four times
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -103,6 +106,44 @@ def test_load_docred(benchmark, scenario, tmp_path):
     save_docred(Corpus(corpus.documents, "human", world.registry), path)
     loaded = benchmark(load_docred, path, world.registry)
     assert save_docred(loaded, tmp_path / "again.json") == file_digest(path)
+
+
+@pytest.fixture(scope="module", params=list(SIZES))
+def split_config(request, tmp_path_factory):
+    """A three-seed config over train, dev and test sources with the
+    documents per relation of a size, over every relation."""
+    work = tmp_path_factory.mktemp("split")
+    write_demo_inputs(work, n_relations=3 * UNSEEN)
+    registry = synthetic_registry(3 * UNSEEN)
+    ids = registry.ids()
+    for world_seed, name in enumerate(("train", "dev", "test")):
+        world = build_world(registry, ids, seed=world_seed, facts_per_relation=3,
+                            related_pool=ids, n_related=2)
+        corpus = world_documents(world, SIZES[request.param][1] // 4, facts_per_doc=3,
+                                 seed=world_seed, id_prefix=f"{name}-")
+        save_docred(Corpus(corpus.documents, "human", registry), work / f"{name}.json")
+    data = json.loads(strip_json_comments((work / "config.json").read_text(encoding="utf-8")))
+    data.update(m=UNSEEN, seeds=[1, 2, 3])
+    return request.param, config_from_dict(data, base_dir=work)
+
+
+@pytest.mark.benchmark(group="split")
+def test_split_stage(benchmark, split_config):
+    size, config = split_config
+
+    def split():
+        return PipelineRunner(config).run(["split"], force=True)
+
+    outcomes = benchmark(split)
+    assert [(o.stage, o.status) for o in outcomes] == [("split", "ran")]
+    tracemalloc.start()
+    try:
+        split()
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["tracemalloc_peak_mb"] = peak
+    print(f"\nsplit ({size}): tracemalloc peak {peak:.2f} MB")
 
 
 @pytest.mark.benchmark(group="mention_grounding")

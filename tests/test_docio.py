@@ -28,6 +28,7 @@ from docrte.docio import (
     document_from_json,
     document_to_json,
     file_digest,
+    iter_docred,
     load_corpus,
     load_docred,
     load_json,
@@ -450,6 +451,46 @@ class TestMalformedRows:
     def test_row_that_is_not_an_object(self, tmp_path, registry6, row):
         with pytest.raises(ParseError, match=r"source\.json: document 1 \(None\): "):
             load_docred(_write_rows(tmp_path, [_docred_record(), row]), registry6)
+
+
+def _invalid_row(title):
+    """A row that parses but fails validation: evidence names a missing sentence."""
+    row = dict(_docred_record(), title=title)
+    row["labels"][0]["evidence"] = [9]
+    return row
+
+
+def _malformed_row(title):
+    row = dict(_docred_record(), title=title)
+    MALFORMED_ROWS["mention without name"](row)
+    return row
+
+
+class TestFirstBadRowReported:
+    """Rows are parsed and checked one by one, so the first bad row in file
+    order is reported, whichever error it raises."""
+
+    def test_invalid_row_before_a_malformed_one(self, tmp_path, registry6):
+        rows = [_docred_record(), _invalid_row("doc-2"), _malformed_row("doc-3")]
+        with pytest.raises(ValidationError, match="doc-2: evidence sentence 9"):
+            load_docred(_write_rows(tmp_path, rows), registry6)
+
+    def test_malformed_row_before_an_invalid_one(self, tmp_path, registry6):
+        rows = [_docred_record(), _malformed_row("doc-2"), _invalid_row("doc-3")]
+        with pytest.raises(ParseError, match=r"document 1 \('doc-2'\)"):
+            load_docred(_write_rows(tmp_path, rows), registry6)
+
+    def test_repeated_title_before_a_malformed_row(self, tmp_path, registry6):
+        rows = [_docred_record(), _docred_record(), _malformed_row("doc-3")]
+        with pytest.raises(ValidationError, match="duplicate doc_id 'doc-1'"):
+            load_docred(_write_rows(tmp_path, rows), registry6)
+
+    def test_documents_before_the_bad_row_are_yielded(self, tmp_path, registry6):
+        rows = [_docred_record(), _invalid_row("doc-2")]
+        read = iter_docred(_write_rows(tmp_path, rows), registry6)
+        assert next(read).doc_id == "doc-1"
+        with pytest.raises(ValidationError, match="doc-2"):
+            next(read)
 
 
 SPACE = st.text(alphabet=" \t\n\r", max_size=3)

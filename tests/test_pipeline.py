@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -16,8 +17,19 @@ import docrte
 from docrte.backends import CassetteBackend, ChatBackend, CountingBackend, ScriptedBackend
 from docrte.cli import main
 from docrte.config import PipelineConfig, load_config
-from docrte.docio import canonical_dumps, file_digest, load_corpus, load_json, save_corpus
+from docrte.docio import (
+    canonical_dumps,
+    file_digest,
+    iter_docred,
+    load_corpus,
+    load_docred,
+    load_json,
+    load_registry,
+    save_corpus,
+    save_docred,
+)
 from docrte.generate import generate_corpus, load_records
+from docrte.model import Corpus
 from docrte.pipeline import (
     STAGE_GC_GEN0,
     STAGE_ORDER,
@@ -27,7 +39,14 @@ from docrte.pipeline import (
     StageError,
 )
 from docrte.pseudo import OraclePredictor, PredictorError
-from docrte.simulate import chat_script, mock_generation_corpus, write_demo_inputs
+from docrte.simulate import (
+    build_world,
+    chat_script,
+    mock_generation_corpus,
+    world_documents,
+    write_demo_inputs,
+)
+from docrte.split import MIXED_POLICIES, SplitError, apply_split, load_split_spec, sample_unseen
 
 PIPELINE_CONFIG = {
     "registry": "registry.json",
@@ -681,6 +700,115 @@ class TestCorpusHandoff:
         assert tree and tree == run_tree_bytes(staged.run_dir)
 
 
+class TestStreamedSplit:
+    """Split reads each source file once for every seed and keeps only the
+    views, which equal apply_split of the fully loaded sources."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        names = []
+
+        def recording(path, *args):
+            names.append(Path(path).name)
+            return iter_docred(path, *args)
+
+        monkeypatch.setattr("docrte.pipeline.iter_docred", recording)
+        return names
+
+    @pytest.mark.parametrize("mixed_policy", MIXED_POLICIES)
+    def test_views_equal_apply_split_of_the_loaded_sources(self, workspace, reads,
+                                                          mixed_policy):
+        seeds = [3, 5, 7]
+        workspace.write_text(json.dumps(dict(PIPELINE_CONFIG, seeds=seeds, m=4,
+                                             mixed_policy=mixed_policy)), encoding="utf-8")
+        runner = make_runner(workspace)
+        runner.run(["split"])
+        assert reads == ["train.json", "dev.json", "test.json"]
+        registry = runner.registry
+        sources = [load_docred(workspace.parent / f"{key}.json", registry)
+                   for key in ("train", "dev", "test")]
+        source_labels = {doc.doc_id: doc.labels for doc in sources[0].documents}
+        stripped = 0
+        for seed in seeds:
+            bundle = apply_split(*sources, load_split_spec(runner.path(f"split/spec_{seed}.json")),
+                                 mixed_policy)
+            for key, view in (("train", bundle.train), ("dev", bundle.eval_dev),
+                              ("test", bundle.eval_test)):
+                written = load_corpus(runner.path(f"split/{key}_{seed}.json"), registry)
+                assert view.documents and written.documents == view.documents, (seed, key)
+            stripped += sum(doc.labels != source_labels[doc.doc_id]
+                            for doc in bundle.train.documents)
+        assert (stripped > 0) == (mixed_policy == "strip")
+
+    def test_a_file_named_twice_is_read_once(self, workspace, reads):
+        workspace.write_text(json.dumps(dict(PIPELINE_CONFIG, test_docs="dev.json")),
+                             encoding="utf-8")
+        runner = make_runner(workspace)
+        runner.run(["split"])
+        assert reads == ["train.json", "dev.json"]
+        for seed in PIPELINE_CONFIG["seeds"]:
+            test = runner.path(f"split/test_{seed}.json").read_bytes()
+            assert test == runner.path(f"split/dev_{seed}.json").read_bytes()
+
+    def test_specs_are_sampled_before_any_source_is_read(self, workspace, reads):
+        workspace.write_text(json.dumps(dict(PIPELINE_CONFIG, m=16)), encoding="utf-8")
+        with pytest.raises(SplitError, match=r"m must be in \(0, 16\), got 16"):
+            make_runner(workspace).run(["split"])
+        assert reads == []
+
+    def test_bad_row_in_the_last_source_writes_no_view(self, workspace):
+        source = workspace.parent / "test.json"
+        rows = json.loads(source.read_text(encoding="utf-8"))
+        del rows[-1]["vertexSet"][0][0]["name"]
+        source.write_text(json.dumps(rows), encoding="utf-8")
+        result = CliRunner().invoke(main, ["--config", str(workspace), "split"])
+        assert result.exit_code == 1, result.output
+        assert f"test.json: document {len(rows) - 1} " in result.stderr
+        run_dir = workspace.parent / "run"
+        assert not list(run_dir.glob("split/*"))
+        assert load_json(run_dir / "manifests" / "split.json")["status"] == "failed"
+
+    def test_split_holds_no_source_corpus(self, workspace):
+        """Dev and test documents with an unseen label are few, so split's
+        traced peak is about one source file's bytes and text plus the train
+        view; a split that held the parsed sources took 6.5 times that sum."""
+        registry = load_registry(workspace.parent / "registry.json")
+        specs = [sample_unseen(registry, PIPELINE_CONFIG["m"], seed)
+                 for seed in PIPELINE_CONFIG["seeds"]]
+
+        def hit(doc, relations):
+            return any(lb.relation in relations for lb in doc.labels)
+
+        ids = registry.ids()
+        for world_seed, name in enumerate(("dev", "test")):
+            world = build_world(registry, ids, seed=world_seed, facts_per_relation=3,
+                                related_pool=ids, n_related=2)
+            docs = world_documents(world, 60, facts_per_doc=3, seed=world_seed,
+                                   id_prefix=f"{name}-").documents
+            unseen = set().union(*(spec.unseen for spec in specs))
+            kept = {doc.doc_id: doc for doc in docs if not hit(doc, unseen)}
+            for spec in specs:  # two documents with an unseen label per seed
+                kept.update((d.doc_id, d) for d in [d for d in docs if hit(d, spec.unseen)][:2])
+            save_docred(Corpus(list(kept.values()), "human", registry),
+                        workspace.parent / f"{name}.json")
+        source = max((workspace.parent / f"{name}.json").stat().st_size for name in ("dev", "test"))
+        runner = make_runner(workspace)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            runner.run(["split"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        train_view = max(runner.path(f"split/train_{seed}.json").stat().st_size
+                         for seed in PIPELINE_CONFIG["seeds"])
+        for seed in PIPELINE_CONFIG["seeds"]:
+            for name in ("dev", "test"):
+                assert 0 < len(load_corpus(runner.path(f"split/{name}_{seed}.json"))) <= 4
+        assert source > 5 * train_view
+        assert peak < 3 * (train_view + source)
+
+
 class TestRunDigests:
     """A run hashes each file on disk at most once and takes the digest of
     every file it wrote from its writer."""
@@ -879,6 +1007,13 @@ class TestCli:
         assert result.exit_code == 1, result.output
         assert "train.json: document 0 " in result.stderr
         assert "KeyError: 'name'" in result.stderr
+
+    def test_m_out_of_range_exits_1(self, workspace):
+        workspace.write_text(json.dumps(dict(PIPELINE_CONFIG, m=16)), encoding="utf-8")
+        result = CliRunner().invoke(main, ["--config", str(workspace), "split"])
+        assert result.exit_code == 1, result.output
+        assert "m must be in (0, 16), got 16" in result.stderr
+        assert not list((workspace.parent / "run").glob("split/*"))
 
     def test_missing_config_exits_1(self, tmp_path):
         result = CliRunner().invoke(
