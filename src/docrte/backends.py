@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .docio import write_text_atomic
-
 logger = logging.getLogger(__name__)
 
 ROLES = ("system", "user", "assistant")
@@ -168,20 +166,6 @@ class ScriptedBackend(ChatBackend):
         return value[min(meta.attempt, len(value) - 1)]
 
 
-def _cassette_line(digest: str, text: str) -> str:
-    """One cassette entry as a canonical JSONL line."""
-    entry = {"request_hash": digest, "response_text": text}
-    return json.dumps(entry, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _cassette_entry(obj: Any, where: str) -> tuple[str, str]:
-    if not (isinstance(obj, dict) and isinstance(obj.get("request_hash"), str)
-            and isinstance(obj.get("response_text"), str)):
-        raise BackendError(
-            f"{where}: cassette entries need string 'request_hash' and 'response_text'")
-    return obj["request_hash"], obj["response_text"]
-
-
 class CassetteBackend(ChatBackend):
     """Record/replay transport backed by an append-only JSONL journal.
 
@@ -197,9 +181,8 @@ class CassetteBackend(ChatBackend):
     a crash mid-write leaves, so replay ignores it with a warning and record
     mode cuts it off before appending; a crash loses at most the call in
     flight.  Any other malformed line raises :class:`BackendError` naming the
-    file and line.  A file that starts with ``[`` is a legacy JSON-list
-    cassette: replay reads it as it is, record mode rewrites it once,
-    atomically, as JSONL and then appends.
+    file and line.  A file that starts with ``[`` is a JSON-list cassette of an
+    older docrte; it is refused in both modes and has to be re-recorded.
     """
 
     def __init__(self, path: Path | str, mode: str = "replay",
@@ -226,21 +209,11 @@ class CassetteBackend(ChatBackend):
 
     def _read(self) -> list[tuple[str, str]]:
         """The entries of the cassette file in order.  In record mode, also
-        leave the file ready to append to: a legacy JSON list is rewritten as
-        JSONL and an unterminated last line is cut off."""
+        leave the file ready to append to: an unterminated last line is cut off."""
         data = self.path.read_bytes()
         if data.startswith(b"["):
-            try:
-                rows = json.loads(data)
-            except ValueError as exc:
-                raise BackendError(f"{self.path}: malformed JSON-list cassette: {exc}") from exc
-            entries = [_cassette_entry(row, f"{self.path} entry {i}")
-                       for i, row in enumerate(rows)]
-            if self.mode == "record":
-                logger.info("%s: rewriting the JSON-list cassette as JSONL", self.path)
-                write_text_atomic(self.path, "".join(_cassette_line(h, text)
-                                                     for h, text in entries))
-            return entries
+            raise BackendError(f"{self.path}: a JSON-list cassette, which this docrte "
+                               "no longer reads; it must be re-recorded")
         complete = data.rfind(b"\n") + 1
         entries = []
         for number, line in enumerate(data[:complete].split(b"\n")[:-1], 1):
@@ -248,7 +221,11 @@ class CassetteBackend(ChatBackend):
                 row = json.loads(line)
             except ValueError as exc:
                 raise BackendError(f"{self.path}:{number}: malformed cassette line: {exc}") from exc
-            entries.append(_cassette_entry(row, f"{self.path}:{number}"))
+            if not (isinstance(row, dict) and isinstance(row.get("request_hash"), str)
+                    and isinstance(row.get("response_text"), str)):
+                raise BackendError(f"{self.path}:{number}: cassette entries need string "
+                                   "'request_hash' and 'response_text'")
+            entries.append((row["request_hash"], row["response_text"]))
         if complete < len(data):
             logger.warning("%s: ignoring an unterminated last line (%d bytes) left by an "
                            "interrupted write", self.path, len(data) - complete)
@@ -267,9 +244,10 @@ class CassetteBackend(ChatBackend):
                 f"cassette {self.path} has no unconsumed entry for request hash {h}"
             )
         text = self.inner.send(transcript, temperature, meta)
-        line = _cassette_line(h, text).encode("utf-8")
+        line = json.dumps({"request_hash": h, "response_text": text}, ensure_ascii=False,
+                          sort_keys=True, separators=(",", ":")) + "\n"
         with self._lock, open(self.path, "ab") as journal:
-            journal.write(line)
+            journal.write(line.encode("utf-8"))
         return text
 
 

@@ -19,7 +19,7 @@ request (``vanilla`` or ``chain_of_thought``) that reuses the step-7 parser.
 Every chain's :class:`GenerationRecord` is kept for audit.  A records file
 (:func:`records_chunks`) stores each distinct transcript text once, in a
 table the turns refer to by index, and :func:`load_records` rebuilds the
-``to_json()`` rows from it (or reads the bare array older versions wrote).
+``to_json()`` rows from it.
 """
 from __future__ import annotations
 
@@ -170,12 +170,10 @@ def records_chunks(records: Iterable[GenerationRecord]) -> Iterator[str]:
 def load_records(path: Path | str) -> list[dict[str, Any]]:
     """The rows of a records file, equal to ``[r.to_json() for r in records]``.
 
-    Reads both the text-table layout of :func:`records_chunks` and the bare
-    array of ``to_json()`` rows that older versions wrote.
+    Reads the text-table layout of :func:`records_chunks` of version
+    ``RECORDS_VERSION``; anything else raises :class:`ParseError`.
     """
     data = load_json(path)
-    if isinstance(data, list):
-        return data
     texts = data.get("texts") if isinstance(data, dict) else None
     if not isinstance(texts, list) or data.get("version") != RECORDS_VERSION:
         raise ParseError(f"{path}: not a generation-records file of version {RECORDS_VERSION}")

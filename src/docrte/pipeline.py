@@ -40,12 +40,12 @@ leaves the old digest recorded and the next run reruns the stage.
 
 Run directory layout::
 
+    format.json                 {"version": FORMAT_VERSION}; another format is refused
     effective_config.json       config used by the last stage that ran
     manifests/<stage>.json      one manifest per stage
     split/spec_<seed>.json      sampled unseen relations
     split/{train,dev,test}_<seed>.json
     generate/synthetic_<seed>.json, generate/records_<seed>.json
-                                (records: one text table per file, see load_records)
     finetune/pretrain_<seed>.jsonl, finetune/denoised_<seed>.jsonl
     pseudo/pseudo_<seed>.json
     denoise/{denoised,kg,report}_<seed>.json
@@ -266,6 +266,8 @@ STAGES: dict[str, Stage] = {stage.name: stage for stage in (
 
 STAGE_ORDER = tuple(STAGES)
 
+FORMAT_VERSION = 1  # of the run directory: a layout change bumps it and keeps no old reader
+
 # The gen-0 collection threshold while a stage body runs.  A stage allocates
 # hundreds of thousands of container objects that live until it ends: at the
 # default threshold (700), one cold run of the bench `cold-run` workload made
@@ -293,6 +295,7 @@ class _Run:
     fresh: dict[str, StageManifest] = field(default_factory=dict)  # stages judged fresh
     inputs: dict[str, str] = field(default_factory=dict)  # recorded by the running stage
     config_written: bool = False  # whether effective_config.json echoes the config
+    cassette: CassetteBackend | None = None  # generate's, shared by its seeds
     registry: RelationRegistry | None = None
     # pseudo-label's oracles over the truth corpora of generate's mock worlds, so
     # a run builds each world once; an oracle holds far less than its corpus
@@ -526,6 +529,7 @@ class PipelineRunner:
             run.fresh.pop(name, None)
         if not run.config_written:
             write_json_atomic(self.path("effective_config.json"), self.config.to_json())
+            write_json_atomic(self.path("format.json"), {"version": FORMAT_VERSION})
             run.config_written = True
         started = _now()
         run_seed = getattr(self, "_stage_" + stage.replace("-", "_"))
@@ -580,11 +584,27 @@ class PipelineRunner:
     @contextmanager
     def _running(self, stages: tuple[str, ...]) -> Iterator[_Run]:
         """A new :class:`_Run` for ``stages``, dropped when they end, however they end."""
+        self._check_format()
         self._run = _Run(stages)
         try:
             yield self._run
         finally:
             self._run = None
+
+    def _check_format(self) -> None:
+        """Refuse a run directory of another format: its ``format.json`` does not
+        hold ``FORMAT_VERSION`` as its version, or is missing next to manifests."""
+        path = self.path("format.json")
+        if not path.exists():  # a directory without manifests is new
+            version = None if any(self.run_dir.glob("manifests/*.json")) else FORMAT_VERSION
+        else:
+            try:
+                version = load_json(path).get("version")
+            except (ParseError, AttributeError):  # not JSON, or not an object
+                version = None
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise StageError(f"run directory {self.run_dir} is not of run-directory format "
+                             f"{FORMAT_VERSION}; give another --run-dir, or delete the directory")
 
     # -- corpora handed over within a run -----------------------------------
 
@@ -621,18 +641,20 @@ class PipelineRunner:
         )
 
     def default_chat_backend(self, seed: int, spec: SplitSpec) -> ChatBackend:
-        cfg = self.config
+        cfg, run = self.config, self._run  # run is None when another runner's factory calls this
         if cfg.backend == "mock":
             world, truth, corrupted = self._mock_world(seed, spec)
-            run = self._run  # None when another runner's factory calls this
             if cfg.predictor == "mock" and run and "pseudo-label" in run.stages:
                 run.oracles[seed, spec] = self._pseudo_oracle(seed, spec, truth)
             return ScriptedBackend(chat_script(world, corrupted), record_calls=False)
         if cfg.backend == "cassette":
-            if cfg.cassette_mode == "record":
-                return CassetteBackend(cfg.cassette_path, mode="record",
-                                       inner=self._live_backend())
-            return CassetteBackend(cfg.cassette_path, mode="replay")
+            # one per run: the seeds of a replay consume the file in recorded order
+            run = run or _Run(())  # outside a run, one of its own
+            if run.cassette is None:
+                inner = self._live_backend() if cfg.cassette_mode == "record" else None
+                run.cassette = CassetteBackend(cfg.cassette_path, mode=cfg.cassette_mode,
+                                               inner=inner)
+            return run.cassette
         return self._live_backend()
 
     def _live_backend(self) -> LiveChatBackend:

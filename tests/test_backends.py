@@ -131,10 +131,8 @@ class TestCassetteBackend:
         t = transcript("s", "q")
         h = request_hash(t, 0.5)
         cassette = tmp_path / "c.json"
-        cassette.write_text(json.dumps([
-            {"request_hash": h, "response_text": "first"},
-            {"request_hash": h, "response_text": "second"},
-        ]))
+        cassette.write_text("".join(json.dumps({"request_hash": h, "response_text": text}) + "\n"
+                                    for text in ("first", "second")))
         backend = CassetteBackend(cassette, mode="replay")
         assert backend.send(t, 0.5) == "first"
         assert backend.send(t, 0.5) == "second"
@@ -143,7 +141,7 @@ class TestCassetteBackend:
 
     def test_replay_missing_entry_raises(self, tmp_path):
         cassette = tmp_path / "c.json"
-        cassette.write_text("[]")
+        cassette.write_text("")
         backend = CassetteBackend(cassette, mode="replay")
         with pytest.raises(BackendError):
             backend.send(transcript("s", "q"), 0.0)
@@ -185,25 +183,17 @@ class TestCassetteBackend:
             assert line == json.dumps(entry, ensure_ascii=False, sort_keys=True,
                                       separators=(",", ":"))
 
-    def test_legacy_json_list_replays_and_is_migrated_once(self, tmp_path):
-        t1, t2, t3 = (transcript("s", q) for q in ("q1", "q2", "q3"))
+    def test_json_list_cassette_is_refused_unchanged(self, tmp_path):
+        t1 = transcript("s", "q1")
         cassette = tmp_path / "c.json"
         cassette.write_text(json.dumps([
             {"request_hash": request_hash(t1, 0.0), "response_text": "one"},
-            {"request_hash": request_hash(t2, 0.0), "response_text": "two"},
         ], indent=2), encoding="utf-8")
-        replayer = CassetteBackend(cassette, mode="replay")
-        assert [replayer.send(t, 0.0) for t in (t1, t2)] == ["one", "two"]
-
-        recorder = CassetteBackend(cassette, mode="record", inner=EchoBackend())
-        assert cassette.read_text(encoding="utf-8").count("\n") == 2
-        inode = cassette.stat().st_ino
-        recorder.send(t3, 0.0)
-        CassetteBackend(cassette, mode="record", inner=EchoBackend())  # already JSONL
-        assert cassette.stat().st_ino == inode
-        assert cassette.read_text(encoding="utf-8").count("\n") == 3
-        replayer = CassetteBackend(cassette, mode="replay")
-        assert [replayer.send(t, 0.0) for t in (t1, t2, t3)] == ["one", "two", "café q3"]
+        before = cassette.read_bytes()
+        for mode, inner in (("replay", None), ("record", EchoBackend())):
+            with pytest.raises(BackendError, match="c.json: a JSON-list cassette.*re-recorded"):
+                CassetteBackend(cassette, mode=mode, inner=inner)
+        assert cassette.read_bytes() == before
 
     def test_unterminated_last_line_is_dropped_then_truncated(self, tmp_path, caplog):
         t1, t2 = transcript("s", "q1"), transcript("s", "q2")

@@ -467,16 +467,6 @@ class TestRecordsFile:
         record = GenerationRecord(unseen_relation="R1", doc_id="R1-00", grounding=report)
         assert record.to_json()["grounding"] == asdict(report)
 
-    def test_bare_array_of_an_older_version_loads(self, tmp_path):
-        rows = [{"accepted_turn_indices": [2], "doc_id": "R1-00", "document": "R1-00",
-                 "failure": None, "grounding": asdict(GroundingReport()), "related": ["R2"],
-                 "transcript": [{"role": "system", "text": "sys"}, {"role": "user", "text": "q"},
-                                {"role": "assistant", "text": "a"}],
-                 "unseen_relation": "R1"}]
-        path = tmp_path / "records_1.json"
-        path.write_text(canonical_dumps(rows, compact=True), encoding="utf-8")
-        assert load_records(path) == rows
-
     @pytest.mark.parametrize("data", [
         {"records": [], "texts": [], "version": 2},
         {"records": [{"transcript": [{"role": "user", "text_id": 1}]}], "texts": ["q"],
@@ -487,6 +477,11 @@ class TestRecordsFile:
         {"records": [{"transcript": [{"role": "user", "text_id": 0}]}], "texts": "q",
          "version": 1},
         "records",
+        # the bare array of to_json() rows that docrte wrote before the text table
+        pytest.param([{"accepted_turn_indices": [2], "doc_id": "R1-00", "document": "R1-00",
+                       "failure": None, "grounding": asdict(GroundingReport()),
+                       "related": ["R2"], "transcript": [{"role": "system", "text": "sys"}],
+                       "unseen_relation": "R1"}], id="bare_array"),
     ])
     def test_malformed_file_raises_parse_error(self, tmp_path, data):
         path = tmp_path / "records_1.json"

@@ -897,6 +897,25 @@ class TestDeterminism:
         tree_b = run_tree_bytes(config_b.run_dir)
         assert tree_a and tree_a == tree_b
 
+    def test_replay_of_seeds_sharing_a_relation_equals_the_recording(self, workspace):
+        # seeds 3 and 4 both hold out R007, so every chain of R007 asks the
+        # same step-1 request in both seeds
+        seeds = dict(PIPELINE_CONFIG, seeds=[3, 4])
+        workspace.write_text(json.dumps(seeds), encoding="utf-8")
+
+        def recording(runner, seed, spec):
+            return CassetteBackend(workspace.parent / "a.json", mode="record",
+                                   inner=runner.default_chat_backend(seed, spec))
+
+        runner = make_runner(workspace, chat_backend_factory=recording)
+        runner.run(["split", "generate"])
+        recorded = run_tree_bytes(runner.run_dir / "generate")
+        assert recorded["synthetic_3.json"] != recorded["synthetic_4.json"]
+        replay = dict(seeds, backend="cassette", cassette_path="a.json")
+        workspace.write_text(json.dumps(replay), encoding="utf-8")
+        assert outcome_map(make_runner(workspace).run(["generate"])) == {"generate": "ran"}
+        assert run_tree_bytes(runner.run_dir / "generate") == recorded
+
 
 # Run files written compact (one line); every other JSON file keeps indent=2.
 COMPACT_FILES = ("split/train_", "split/dev_", "split/test_", "generate/synthetic_",
@@ -921,9 +940,56 @@ class TestArtifactLayout:
                 assert text == canonical_dumps(data), rel
                 indented.append(rel)
         assert len(compact) == 2 * len(COMPACT_FILES)
-        assert {"report.json", "effective_config.json", "split/spec_3.json",
+        assert {"report.json", "effective_config.json", "format.json", "split/spec_3.json",
                 "denoise/report_3.json", "eval/dev_3.json",
                 "manifests/denoise.json"} <= set(indented)
+
+
+class TestFormatGate:
+    def test_first_stage_writes_it_and_a_noop_rerun_writes_nothing(self, workspace):
+        runner = make_runner(workspace)
+        runner.run(["split"])
+        assert load_json(runner.run_dir / "format.json") == {"version": 1}
+        before = run_tree_bytes(runner.run_dir, exclude=())
+        assert outcome_map(make_runner(workspace).run(["split"])) == {"split": "skipped"}
+        assert run_tree_bytes(runner.run_dir, exclude=()) == before
+
+    @pytest.mark.parametrize("leftover", [".lock", "manifests"])
+    def test_a_directory_without_manifests_is_accepted(self, workspace, leftover):
+        runner = make_runner(workspace)
+        runner.run_dir.mkdir()
+        if leftover == ".lock":
+            (runner.run_dir / ".lock").touch()
+        else:
+            (runner.run_dir / "manifests").mkdir()
+        assert outcome_map(runner.run(["split"])) == {"split": "ran"}
+        assert load_json(runner.run_dir / "format.json") == {"version": 1}
+
+    @pytest.mark.parametrize("text", [None, '{"version": 2}', '{"version"', "[1]",
+                                      '{"version": "1"}', '{"version": true}',
+                                      '{"version": 1.0}', "{}"],
+                             ids=["missing", "version_2", "not_json", "not_an_object",
+                                  "string", "bool", "float", "no_version"])
+    def test_another_format_is_refused_and_left_as_it_was(self, workspace, text):
+        runner = make_runner(workspace)
+        runner.run(["split"])
+        path = runner.run_dir / "format.json"
+        if text is None:  # as a run directory of an older docrte
+            path.unlink()
+        else:
+            path.write_text(text, encoding="utf-8")
+        before = run_tree_bytes(runner.run_dir, exclude=())
+        message = (f"run directory {runner.run_dir} is not of run-directory format 1; "
+                   "give another --run-dir, or delete the directory")
+        for call in (make_runner(workspace).run, lambda: make_runner(workspace).run_stage("split")):
+            with pytest.raises(StageError) as refused:
+                call()
+            assert str(refused.value) == message
+        result = CliRunner().invoke(main, ["--config", str(workspace), "run-all"])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
+        assert run_tree_bytes(runner.run_dir, exclude=()) == before
+        assert not (runner.run_dir / ".lock").exists()
 
 
 class TestRecordsFile:
