@@ -88,7 +88,7 @@ def _stage_command(name: str, stage: str, short_help: str):
 
 
 _stage_command("split", "split",
-               "Sample unseen relations and build train/dev/test views per seed.")
+               "Sample unseen relations, check the sources, write dev/test views per seed.")
 _stage_command("generate", "generate",
                "Generate synthetic documents for unseen relations via the chat backend.")
 _stage_command("pseudo-label", "pseudo-label",
@@ -103,7 +103,7 @@ _stage_command("evaluate", "evaluate",
               short_help="Assemble instruction-tuning samples (JSONL).")
 @click.option("--denoised", is_flag=True,
               help="Build samples from the denoised synthetic corpus instead of "
-                   "the human training split.")
+                   "the seen-relation view of the train source.")
 @click.option("--force", is_flag=True, help="Re-run even if outputs are up to date.")
 @click.pass_context
 def finetune_data(ctx: click.Context, denoised: bool, force: bool) -> None:

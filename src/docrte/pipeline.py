@@ -15,12 +15,15 @@ temp file, then rename), which keeps a crash from leaving a half-written
 file that a resume would mistake for a completed one.
 
 Within one :meth:`PipelineRunner.run`, a corpus is handed to the later
-stages that load it (``Stage.loads``) without being read back: split's train
-view to finetune-data and its dev and test views to evaluate (split reads each
-source once for every seed and holds no source corpus), ``synthetic_<seed>``
-from generate to pseudo-label and denoise, ``denoised_<seed>`` from denoise
-to finetune-data-denoised.  It is dropped after its last reader ran and when
-the run ends; a stage run on its own loads the file.  With the mock backend
+stages that load it (``Stage.loads``) without being read back: split's dev and
+test views to evaluate (split reads each source once for every seed and holds
+no source corpus), ``synthetic_<seed>`` from generate to pseudo-label and
+denoise, ``denoised_<seed>`` from denoise to finetune-data-denoised.  It is
+dropped after its last reader ran and when the run ends; a stage run on its
+own loads the file.  The training views are written nowhere: split checks the
+train source and hands every seed's view to a later finetune-data of the same
+run, and finetune-data run without it rebuilds them in one pass over the train
+source, which it records as a source of its own.  With the mock backend
 and predictor, pseudo-label's oracle likewise reuses the truth corpus of the
 mock world generate built for the same seed in the same run; otherwise it
 rebuilds the world, a pure function of the config, seed and split.
@@ -31,10 +34,11 @@ is hashed on disk when the run first needs it.  No digest outlives a run and
 none is skipped on size or mtime, so each run sees every earlier edit.  When
 another process edits a file during a run, no stage records a digest other
 than that of the bytes it used: a JSON file a stage parses (run files, the
-registry, split's sources, prediction files) is hashed from the very bytes
-parsed, and a mismatch with the digest the stage recorded fails the stage
-with a :class:`StageError` naming the file; a corpus handed over in memory is
-the one its writer's digest describes.  Templates and a replayed cassette are
+registry, the DocRED sources, prediction files) is hashed from the very
+bytes parsed, and a mismatch with the digest the stage recorded fails the
+stage with a :class:`StageError` naming the file; a corpus handed over in
+memory is the one its writer's digest (a training view's: its source's)
+describes.  Templates and a replayed cassette are
 read by their own modules after they were hashed, so an edit in between
 leaves the old digest recorded and the next run reruns the stage.
 
@@ -44,7 +48,7 @@ Run directory layout::
     effective_config.json       config used by the last stage that ran
     manifests/<stage>.json      one manifest per stage
     split/spec_<seed>.json      sampled unseen relations
-    split/{train,dev,test}_<seed>.json
+    split/{dev,test}_<seed>.json
     generate/synthetic_<seed>.json, generate/records_<seed>.json
     finetune/pretrain_<seed>.jsonl, finetune/denoised_<seed>.jsonl
     pseudo/pseudo_<seed>.json
@@ -138,8 +142,11 @@ MOCK_WORLD = ("mock.facts_per_relation", "mock.facts_per_doc", "mock.label_drop_
 LIVE_MODEL = ("live.base_url", "live.model")
 
 
-def _registry_source(cfg: PipelineConfig) -> dict[str, Path]:
-    return {"config:registry": Path(cfg.registry)}
+def _config_files(*names: str) -> Callable[[PipelineConfig], dict[str, Path]]:
+    return lambda cfg: {f"config:{name}": Path(getattr(cfg, name)) for name in names}
+
+
+_registry_source = _config_files("registry")
 
 
 def _generate_sources(cfg: PipelineConfig) -> dict[str, Path]:
@@ -220,11 +227,11 @@ class Stage:
 SPLIT_VIEWS = ("train", "dev", "test")  # of the sources in config fields <key>_docs
 
 STAGES: dict[str, Stage] = {stage.name: stage for stage in (
+    # split checks the train source; finetune-data derives its view from it
     Stage("split", reads={},
-          writes={key: f"split/{key}_{{seed}}.json" for key in ("spec",) + SPLIT_VIEWS},
-          params=("m", "mixed_policy"),
-          sources=lambda cfg: {f"config:{name}": Path(getattr(cfg, name))
-                               for name in ("registry", "train_docs", "dev_docs", "test_docs")}),
+          writes={key: f"split/{key}_{{seed}}.json" for key in ("spec", "dev", "test")},
+          params=("m",),
+          sources=_config_files("registry", "train_docs", "dev_docs", "test_docs")),
     Stage("generate", reads={"split": ("spec",)},
           writes={"synthetic": "generate/synthetic_{seed}.json",
                   "records": "generate/records_{seed}.json"},
@@ -232,9 +239,10 @@ STAGES: dict[str, Stage] = {stage.name: stage for stage in (
           params_when={("backend", "mock"): MOCK_WORLD, ("backend", "live"): LIVE_MODEL,
                        ("backend", "cassette"): LIVE_MODEL},
           sources=_generate_sources),
-    Stage("finetune-data", reads={"split": ("spec", "train")},
+    Stage("finetune-data", reads={"split": ("spec",)},
           writes={"samples": "finetune/pretrain_{seed}.jsonl"},
-          params=("group_size", "keep_empty_prob", "instruction"), loads=("train",)),
+          params=("group_size", "keep_empty_prob", "instruction", "mixed_policy"),
+          sources=_config_files("registry", "train_docs")),
     Stage("pseudo-label", reads={"generate": ("synthetic",), "split": ("spec",)},
           writes={"pseudo": "pseudo/pseudo_{seed}.json"},
           params=("predictor", "instruction"), loads=("synthetic",),
@@ -266,7 +274,7 @@ STAGES: dict[str, Stage] = {stage.name: stage for stage in (
 
 STAGE_ORDER = tuple(STAGES)
 
-FORMAT_VERSION = 1  # of the run directory: a layout change bumps it and keeps no old reader
+FORMAT_VERSION = 2  # of the run directory: a layout change bumps it and keeps no old reader
 
 # The gen-0 collection threshold while a stage body runs.  A stage allocates
 # hundreds of thousands of container objects that live until it ends: at the
@@ -279,7 +287,7 @@ STAGE_GC_GEN0 = 100_000
 class _Held(NamedTuple):
     """A corpus kept in memory for a later stage of the current run."""
 
-    digest: str  # of the bytes it was written as
+    digest: str  # of the bytes it was written as; of its source for a training view
     corpus: Corpus
     last_reader: str  # the stage after which it is dropped
 
@@ -300,7 +308,8 @@ class _Run:
     # pseudo-label's oracles over the truth corpora of generate's mock worlds, so
     # a run builds each world once; an oracle holds far less than its corpus
     oracles: dict[tuple[int, SplitSpec], OraclePredictor] = field(default_factory=dict)
-    held: dict[Path, _Held] = field(default_factory=dict)  # corpora for later stages
+    # corpora for later stages, by the file written; a training view by its spec
+    held: dict[Path | SplitSpec, _Held] = field(default_factory=dict)
     split_views: dict[int, SplitBundle] = field(default_factory=dict)  # by seed, until written
 
 
@@ -577,7 +586,7 @@ class PipelineRunner:
             outcomes = []
             for stage in ordered:
                 outcomes.append(self.run_stage(stage, force=force))
-                run.held = {path: held for path, held in run.held.items()
+                run.held = {key: held for key, held in run.held.items()
                             if held.last_reader != stage}
             return outcomes
 
@@ -702,30 +711,35 @@ class PipelineRunner:
     # -- stages ---------------------------------------------------------------
 
     def _stage_split(self, seed: int) -> None:
-        if not self._run.split_views:  # the first seed's call builds every seed's views
-            self._run.split_views = self._split_views()
-        bundle = self._run.split_views.pop(seed)
+        run = self._run
+        if not run.split_views:  # the first seed's call builds every seed's views
+            specs = [sample_unseen(self.registry, self.config.m, s) for s in self.config.seeds]
+            views = self._views(specs, SPLIT_VIEWS)
+            run.split_views = {spec.seed: SplitBundle(spec, *views[spec.seed]) for spec in specs}
+        bundle = run.split_views.pop(seed)
+        if "finetune-data" in run.stages:
+            run.held[bundle.spec] = _Held(run.inputs["config:train_docs"], bundle.train,
+                                          "finetune-data")
         self._write("split", seed, "spec", lambda path: save_split_spec(bundle.spec, path))
-        for key, view in zip(SPLIT_VIEWS, (bundle.train, bundle.eval_dev, bundle.eval_test)):
-            self._save_corpus("split", seed, key, view)
+        self._save_corpus("split", seed, "dev", bundle.eval_dev)
+        self._save_corpus("split", seed, "test", bundle.eval_test)
 
-    def _split_views(self) -> dict[int, SplitBundle]:
-        """Every seed's split views, its specs sampled before each source file
-        is read once: each document goes into every view as it is read."""
+    def _views(self, specs: Sequence[SplitSpec], keys: Sequence[str]) -> dict[int, list[Corpus]]:
+        """Each spec's views ``keys``, by seed, with each source file read
+        once: each document goes into every view as it is read."""
         cfg, registry = self.config, self.registry
-        specs = [sample_unseen(registry, cfg.m, seed) for seed in cfg.seeds]
-        paths = {key: Path(getattr(cfg, f"{key}_docs")) for key in SPLIT_VIEWS}
+        paths = {key: Path(getattr(cfg, f"{key}_docs")) for key in keys}
         views: dict[tuple[int, str], list[Document]] = {
-            (spec.seed, key): [] for spec in specs for key in SPLIT_VIEWS}
+            (spec.seed, key): [] for spec in specs for key in keys}
         for path in dict.fromkeys(paths.values()):
-            keys = [key for key in SPLIT_VIEWS if paths[key] == path]
-            for doc in iter_docred(path, registry, self._run.inputs[f"config:{keys[0]}_docs"]):
-                for key, spec in product(keys, specs):
+            named = [key for key in keys if paths[key] == path]
+            for doc in iter_docred(path, registry, self._run.inputs[f"config:{named[0]}_docs"]):
+                for key, spec in product(named, specs):
                     view = view_document(doc, spec, cfg.mixed_policy if key == "train" else None)
                     if view is not None:
                         views[spec.seed, key].append(view)
-        return {spec.seed: SplitBundle(spec, *(Corpus(views[spec.seed, key], "human", registry)
-                                               for key in SPLIT_VIEWS)) for spec in specs}
+        return {spec.seed: [Corpus(views[spec.seed, key], "human", registry) for key in keys]
+                for spec in specs}
 
     def _stage_generate(self, seed: int) -> None:
         cfg = self.config
@@ -750,8 +764,20 @@ class PipelineRunner:
     def _stage_finetune_data(self, seed: int) -> None:
         spec = self._spec("finetune-data", seed)
         groups = partition_relations(sorted(spec.seen), self.config.group_size, seed=seed)
-        self._write_samples("finetune-data", seed,
-                            self._load_corpus("finetune-data", seed, "train"), groups)
+        self._write_samples("finetune-data", seed, self._train_view(spec), groups)
+
+    def _train_view(self, spec: SplitSpec) -> Corpus:
+        """The training view of ``spec``: split's from earlier in this run if it
+        was built from the train source finetune-data records, else every
+        seed's view rebuilt from that source, read once and checked against it."""
+        run = self._run
+        digest = run.inputs["config:train_docs"]
+        held = run.held.get(spec)
+        if held is None or held.digest != digest:
+            specs = [self._spec("finetune-data", seed) for seed in self.config.seeds]
+            views = self._views(specs, ("train",))
+            run.held.update((s, _Held(digest, views[s.seed][0], "finetune-data")) for s in specs)
+        return run.held.pop(spec).corpus
 
     def _stage_pseudo_label(self, seed: int) -> None:
         cfg = self.config

@@ -1,8 +1,9 @@
 """Micro benchmarks for the mock world, corpus validation, loading a DocRED
 source, the split stage, mention grounding, relabeling, bulk JSON writes
 (corpora and generation records), finetune-data assembly and hashing a run
-directory's files.  The split stage also reports its tracemalloc peak in the
-benchmark's ``extra_info`` (``--benchmark-json``) and on standard output (``-s``).
+directory's files.  The split stage also reports its tracemalloc peak and the
+bytes of the files it writes in the benchmark's ``extra_info``
+(``--benchmark-json``) and on standard output (``-s``).
 
 Each layer runs at two sizes; the larger one has four times the documents
 and four times the world facts, so near-linear code takes about four times
@@ -18,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -142,8 +144,10 @@ def test_split_stage(benchmark, split_config):
         peak = tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+    written = sum(path.stat().st_size for path in Path(config.run_dir, "split").iterdir())
     benchmark.extra_info["tracemalloc_peak_mb"] = peak
-    print(f"\nsplit ({size}): tracemalloc peak {peak:.2f} MB")
+    benchmark.extra_info["bytes_written"] = written
+    print(f"\nsplit ({size}): tracemalloc peak {peak:.2f} MB, {written:,} bytes written")
 
 
 @pytest.mark.benchmark(group="mention_grounding")

@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -19,6 +18,7 @@ from docrte.cli import main
 from docrte.config import PipelineConfig, load_config
 from docrte.docio import (
     canonical_dumps,
+    corpus_chunks,
     file_digest,
     iter_docred,
     load_corpus,
@@ -34,6 +34,7 @@ from docrte.pipeline import (
     STAGE_GC_GEN0,
     STAGE_ORDER,
     STAGES,
+    FORMAT_VERSION,
     MissingStageError,
     PipelineRunner,
     StageError,
@@ -74,6 +75,19 @@ def make_runner(config_path, **factories):
     return PipelineRunner(load_config(config_path), **factories)
 
 
+@pytest.fixture
+def reads(monkeypatch):
+    """The names of the DocRED sources the runner parses, in order."""
+    names = []
+
+    def recording(path, *args):
+        names.append(Path(path).name)
+        return iter_docred(path, *args)
+
+    monkeypatch.setattr("docrte.pipeline.iter_docred", recording)
+    return names
+
+
 def outcome_map(outcomes):
     return {o.stage: o.status for o in outcomes}
 
@@ -99,6 +113,13 @@ INERT_FIELDS = {
     "seeds", "run_dir", "parallelism", "cassette_mode", "live.api_key_env", "live.timeout",
     "live.max_attempts", "live.rate_per_sec", "live.burst",
 }
+
+
+def child_env(**overrides):
+    """The environment of a child interpreter that imports this docrte."""
+    package_root = str(Path(docrte.__file__).resolve().parents[1])
+    return dict(os.environ, **overrides, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
 
 
 def run_tree_bytes(run_dir, exclude=("manifests", "effective_config.json", ".lock")):
@@ -144,7 +165,9 @@ class TestFullRun:
         assert all(o.status == "ran" for o in outcomes)
         run = runner.run_dir
         for seed in (3, 5):
-            for rel in (f"split/spec_{seed}.json", f"split/train_{seed}.json",
+            # the training view is written nowhere
+            assert not (run / f"split/train_{seed}.json").exists()
+            for rel in (f"split/spec_{seed}.json",
                         f"split/dev_{seed}.json", f"split/test_{seed}.json",
                         f"generate/synthetic_{seed}.json",
                         f"generate/records_{seed}.json",
@@ -256,6 +279,20 @@ class TestResume:
         assert outcomes["evaluate"] == "ran"
         report = json.loads((runner.run_dir / "report.json").read_text())
         assert report["mixed_policy"] == "strip"
+
+    def test_mixed_policy_change_reruns_only_finetune_data_and_evaluate(self, workspace):
+        runner = make_runner(workspace)
+        runner.run()
+        before = run_tree_bytes(runner.run_dir)
+        workspace.write_text(json.dumps(dict(PIPELINE_CONFIG, mixed_policy="strip")),
+                             encoding="utf-8")
+        assert ran(outcome_map(make_runner(workspace).run())) == ["finetune-data", "evaluate"]
+        after = run_tree_bytes(runner.run_dir)
+        shaped = ("finetune/pretrain_", "eval/", "report.")
+        assert after.keys() == before.keys()
+        assert {rel: data for rel, data in after.items() if not rel.startswith(shaped)} == \
+            {rel: data for rel, data in before.items() if not rel.startswith(shaped)}
+        assert [rel for rel in after if rel.startswith(shaped[0]) and after[rel] != before[rel]]
 
     def test_stale_upstream_refuses_single_stage(self, workspace):
         runner = make_runner(workspace)
@@ -464,9 +501,7 @@ class TestLocking:
 
     def test_lock_of_a_killed_holder_does_not_refuse_the_next_run(self, workspace):
         runner = make_runner(workspace)
-        package_root = str(Path(docrte.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        env = child_env()
         for _ in range(2):  # the second holder takes over what the first left
             holder = subprocess.Popen([sys.executable, "-c", HOLD_LOCK, str(runner.run_dir)],
                                       stdout=subprocess.PIPE, text=True, env=env)
@@ -621,6 +656,14 @@ class TestCorpusHandoff:
                 taken.append((stage, seed, key, corpus))
                 return corpus
 
+            def _train_view(self, spec):
+                corpus = super()._train_view(spec)
+                source = load_docred(self.config.train_docs, self.registry)
+                view = apply_split(source, source, source, spec, self.config.mixed_policy).train
+                assert corpus == view
+                taken.append(("finetune-data", spec.seed, "train", corpus))
+                return corpus
+
         Checking(load_config(workspace)).run()
         seeds = PIPELINE_CONFIG["seeds"]
         assert [(stage, key) for stage, _, key, _ in taken] == (
@@ -672,7 +715,7 @@ class TestCorpusHandoff:
             runner.run()
         assert runner._run is None
 
-    def test_digest_mismatch_loads_from_disk(self, workspace, loads, tmp_path):
+    def test_digest_mismatch_loads_from_disk(self, workspace, loads, reads, tmp_path):
         class Mismatching(PipelineRunner):
             def _save_corpus(self, *args):
                 super()._save_corpus(*args)
@@ -685,7 +728,9 @@ class TestCorpusHandoff:
         assert sorted(loads) == sorted(
             [f"generate/synthetic_{seed}.json" for seed in seeds] * 2
             + [f"denoise/denoised_{seed}.json" for seed in seeds]
-            + [f"split/{key}_{seed}.json" for key in ("train", "dev", "test") for seed in seeds])
+            + [f"split/{key}_{seed}.json" for key in ("dev", "test") for seed in seeds])
+        # finetune-data rebuilt the training views from the train source
+        assert reads == ["train.json", "dev.json", "test.json", "train.json"]
         reference = PipelineRunner(load_config(workspace, run_dir=str(tmp_path / "reference")))
         reference.run()
         assert run_tree_bytes(runner.run_dir) == run_tree_bytes(reference.run_dir)
@@ -700,20 +745,41 @@ class TestCorpusHandoff:
         assert tree and tree == run_tree_bytes(staged.run_dir)
 
 
+class TestTrainView:
+    """Finetune-data derives each seed's training view from the train source
+    and split's spec: within one run it takes the views split built, and run
+    without split it rebuilds every seed's view in one pass over the source."""
+
+    @pytest.mark.parametrize("mixed_policy", MIXED_POLICIES)
+    def test_separate_runs_write_what_one_run_writes(self, workspace, reads, tmp_path,
+                                                     mixed_policy):
+        workspace.write_text(json.dumps(dict(PIPELINE_CONFIG, seeds=[3, 5, 7], m=4,
+                                             mixed_policy=mixed_policy)), encoding="utf-8")
+        whole = load_config(workspace, run_dir=str(tmp_path / "whole"))
+        staged = load_config(workspace, run_dir=str(tmp_path / "staged"))
+        PipelineRunner(whole).run()
+        PipelineRunner(staged).run(["split"])
+        reads.clear()
+        assert outcome_map(PipelineRunner(staged).run(["finetune-data"])) == {
+            "finetune-data": "ran"}
+        assert reads == ["train.json"]  # once for every seed
+        one_run, separate = (run_tree_bytes(Path(config.run_dir, "finetune"))
+                             for config in (whole, staged))
+        assert len(separate) == 3 and all(one_run[rel] == separate[rel] for rel in separate)
+
+    def test_train_source_edit_reruns_finetune_data(self, workspace):
+        runner = make_runner(workspace)
+        runner.run()
+        split = run_tree_bytes(runner.run_dir / "split")
+        train = workspace.parent / "train.json"
+        train.write_text(json.dumps(json.loads(train.read_text())[1:]), encoding="utf-8")
+        assert ran(outcome_map(make_runner(workspace).run())) == ["split", "finetune-data"]
+        assert run_tree_bytes(runner.run_dir / "split") == split  # every spec unchanged
+
+
 class TestStreamedSplit:
     """Split reads each source file once for every seed and keeps only the
     views, which equal apply_split of the fully loaded sources."""
-
-    @pytest.fixture
-    def reads(self, monkeypatch):
-        names = []
-
-        def recording(path, *args):
-            names.append(Path(path).name)
-            return iter_docred(path, *args)
-
-        monkeypatch.setattr("docrte.pipeline.iter_docred", recording)
-        return names
 
     @pytest.mark.parametrize("mixed_policy", MIXED_POLICIES)
     def test_views_equal_apply_split_of_the_loaded_sources(self, workspace, reads,
@@ -721,8 +787,15 @@ class TestStreamedSplit:
         seeds = [3, 5, 7]
         workspace.write_text(json.dumps(dict(PIPELINE_CONFIG, seeds=seeds, m=4,
                                              mixed_policy=mixed_policy)), encoding="utf-8")
-        runner = make_runner(workspace)
-        runner.run(["split"])
+        train_views = {}
+
+        class Keeping(PipelineRunner):
+            def _train_view(self, spec):
+                train_views[spec.seed] = super()._train_view(spec)
+                return train_views[spec.seed]
+
+        runner = Keeping(load_config(workspace))
+        runner.run(["split", "finetune-data"])
         assert reads == ["train.json", "dev.json", "test.json"]
         registry = runner.registry
         sources = [load_docred(workspace.parent / f"{key}.json", registry)
@@ -732,8 +805,8 @@ class TestStreamedSplit:
         for seed in seeds:
             bundle = apply_split(*sources, load_split_spec(runner.path(f"split/spec_{seed}.json")),
                                  mixed_policy)
-            for key, view in (("train", bundle.train), ("dev", bundle.eval_dev),
-                              ("test", bundle.eval_test)):
+            assert bundle.train.documents and train_views[seed].documents == bundle.train.documents
+            for key, view in (("dev", bundle.eval_dev), ("test", bundle.eval_test)):
                 written = load_corpus(runner.path(f"split/{key}_{seed}.json"), registry)
                 assert view.documents and written.documents == view.documents, (seed, key)
             stripped += sum(doc.labels != source_labels[doc.doc_id]
@@ -771,7 +844,9 @@ class TestStreamedSplit:
     def test_split_holds_no_source_corpus(self, workspace):
         """Dev and test documents with an unseen label are few, so split's
         traced peak is about one source file's bytes and text plus the train
-        view; a split that held the parsed sources took 6.5 times that sum."""
+        view; a split that held the parsed sources took 6.5 times that sum.
+        The peak is traced in a new interpreter: in this one, a resize of the
+        interned-string table that earlier tests made due would count."""
         registry = load_registry(workspace.parent / "registry.json")
         specs = [sample_unseen(registry, PIPELINE_CONFIG["m"], seed)
                  for seed in PIPELINE_CONFIG["seeds"]]
@@ -792,21 +867,30 @@ class TestStreamedSplit:
             save_docred(Corpus(list(kept.values()), "human", registry),
                         workspace.parent / f"{name}.json")
         source = max((workspace.parent / f"{name}.json").stat().st_size for name in ("dev", "test"))
+        done = subprocess.run([sys.executable, "-c", TRACE_SPLIT, str(workspace)], check=True,
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        peak = int(done.stdout)
+        train = load_docred(workspace.parent / "train.json", registry)
+        train_view = max(sum(len(chunk.encode()) for chunk in corpus_chunks(
+            apply_split(train, train, train, spec).train)) for spec in specs)
         runner = make_runner(workspace)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            runner.run(["split"])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        train_view = max(runner.path(f"split/train_{seed}.json").stat().st_size
-                         for seed in PIPELINE_CONFIG["seeds"])
         for seed in PIPELINE_CONFIG["seeds"]:
             for name in ("dev", "test"):
                 assert 0 < len(load_corpus(runner.path(f"split/{name}_{seed}.json"))) <= 4
         assert source > 5 * train_view
         assert peak < 3 * (train_view + source)
+
+
+TRACE_SPLIT = """
+import gc, sys, tracemalloc
+from docrte.config import load_config
+from docrte.pipeline import PipelineRunner
+runner = PipelineRunner(load_config(sys.argv[1]))
+gc.collect()
+tracemalloc.start()
+runner.run(["split"])
+print(tracemalloc.get_traced_memory()[1])
+"""
 
 
 class TestRunDigests:
@@ -843,19 +927,22 @@ class TestRunDigests:
 
 
 def drop_first_document(path):
-    """Rewrite a corpus file as a valid corpus that differs from it."""
+    """Rewrite a corpus file or a DocRED source as a valid one that differs from it."""
+    if isinstance(load_json(path), list):
+        path.write_text(json.dumps(load_json(path)[1:]), encoding="utf-8")
+        return
     corpus = load_corpus(path)
     save_corpus(replace(corpus, documents=corpus.documents[1:]), path)
 
 
 class TestMidRunEdit:
-    """Another process rewrites a run file after the stage that reads it has
-    recorded its digest.  The stage either fails naming the file or used the
-    bytes that digest describes, so the next run ends byte-identical to an
-    undisturbed one."""
+    """Another process rewrites a run file or a source after the stage that
+    reads it has recorded its digest.  The stage either fails naming the file
+    or used the bytes that digest describes, so the next run ends
+    byte-identical to an undisturbed one."""
 
     @pytest.mark.parametrize("stage, rel, handed_over", [
-        ("finetune-data", "split/train_3.json", False),
+        ("finetune-data", "../train.json", False),  # the train source
         ("finetune-data-denoised", "denoise/denoised_5.json", False),
         ("evaluate", "split/test_5.json", False),
         ("pseudo-label", "generate/synthetic_3.json", True),
@@ -918,7 +1005,7 @@ class TestDeterminism:
 
 
 # Run files written compact (one line); every other JSON file keeps indent=2.
-COMPACT_FILES = ("split/train_", "split/dev_", "split/test_", "generate/synthetic_",
+COMPACT_FILES = ("split/dev_", "split/test_", "generate/synthetic_",
                  "generate/records_", "pseudo/pseudo_", "denoise/denoised_", "denoise/kg_",
                  "eval/predictions_dev_", "eval/predictions_test_")
 
@@ -949,7 +1036,7 @@ class TestFormatGate:
     def test_first_stage_writes_it_and_a_noop_rerun_writes_nothing(self, workspace):
         runner = make_runner(workspace)
         runner.run(["split"])
-        assert load_json(runner.run_dir / "format.json") == {"version": 1}
+        assert load_json(runner.run_dir / "format.json") == {"version": FORMAT_VERSION}
         before = run_tree_bytes(runner.run_dir, exclude=())
         assert outcome_map(make_runner(workspace).run(["split"])) == {"split": "skipped"}
         assert run_tree_bytes(runner.run_dir, exclude=()) == before
@@ -963,13 +1050,14 @@ class TestFormatGate:
         else:
             (runner.run_dir / "manifests").mkdir()
         assert outcome_map(runner.run(["split"])) == {"split": "ran"}
-        assert load_json(runner.run_dir / "format.json") == {"version": 1}
+        assert load_json(runner.run_dir / "format.json") == {"version": FORMAT_VERSION}
 
-    @pytest.mark.parametrize("text", [None, '{"version": 2}', '{"version"', "[1]",
-                                      '{"version": "1"}', '{"version": true}',
-                                      '{"version": 1.0}', "{}"],
-                             ids=["missing", "version_2", "not_json", "not_an_object",
-                                  "string", "bool", "float", "no_version"])
+    # version 1 held split/train_<seed>.json, which no stage writes or reads now
+    @pytest.mark.parametrize("text", [None, '{"version": 1}', '{"version": 3}', '{"version"',
+                                      "[2]", '{"version": "2"}', '{"version": true}',
+                                      '{"version": 2.0}', "{}"],
+                             ids=["missing", "version_1", "version_3", "not_json",
+                                  "not_an_object", "string", "bool", "float", "no_version"])
     def test_another_format_is_refused_and_left_as_it_was(self, workspace, text):
         runner = make_runner(workspace)
         runner.run(["split"])
@@ -979,7 +1067,7 @@ class TestFormatGate:
         else:
             path.write_text(text, encoding="utf-8")
         before = run_tree_bytes(runner.run_dir, exclude=())
-        message = (f"run directory {runner.run_dir} is not of run-directory format 1; "
+        message = (f"run directory {runner.run_dir} is not of run-directory format 2; "
                    "give another --run-dir, or delete the directory")
         for call in (make_runner(workspace).run, lambda: make_runner(workspace).run_stage("split")):
             with pytest.raises(StageError) as refused:
@@ -1031,7 +1119,6 @@ class TestRecordsFile:
                 set(range(len(data["texts"])))
 
     def test_hash_seed_does_not_change_the_records(self, workspace):
-        package_root = str(Path(docrte.__file__).resolve().parents[1])
         script = ("import sys; from docrte.config import load_config; "
                   "from docrte.pipeline import PipelineRunner; "
                   "PipelineRunner(load_config(sys.argv[1], run_dir=sys.argv[2]))"
@@ -1039,10 +1126,9 @@ class TestRecordsFile:
         files = []
         for hash_seed in ("1", "2"):
             run_dir = workspace.parent / f"run_hash{hash_seed}"
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
-                filter(None, [package_root, os.environ.get("PYTHONPATH")])))
             subprocess.run([sys.executable, "-c", script, str(workspace), str(run_dir)],
-                           check=True, env=env, capture_output=True, timeout=120)
+                           check=True, env=child_env(PYTHONHASHSEED=hash_seed),
+                           capture_output=True, timeout=120)
             files.append({seed: (run_dir / f"generate/records_{seed}.json").read_bytes()
                           for seed in PIPELINE_CONFIG["seeds"]})
         assert files[0] == files[1]
