@@ -12,7 +12,9 @@ recorded as outputs, and it recorded as outputs what the stage about to run
 reads.  Otherwise :class:`MissingStageError` names the stale stage; running
 every stage reruns it first.  All artifact writes are atomic (write to a
 temp file, then rename), which keeps a crash from leaving a half-written
-file that a resume would mistake for a completed one.
+file that a resume would mistake for a completed one; the first stage a run
+executes removes the temp files of writes a killed run left, under the
+run-directory lock.
 
 Within one :meth:`PipelineRunner.run`, a corpus is handed to the later
 stages that load it (``Stage.loads``) without being read back: split's dev and
@@ -516,7 +518,7 @@ class PipelineRunner:
             raise StageError(f"unknown stage: {stage!r}")
         run = self._run
         if run is None:  # a bare call is a run of this one stage
-            with self._running((stage,)):
+            with run_lock(self.run_dir), self._running((stage,)):
                 return self.run_stage(stage, force)
         entry = STAGES[stage]
         self._check_deps(stage)
@@ -537,6 +539,8 @@ class PipelineRunner:
         for name in STAGE_ORDER[STAGE_ORDER.index(stage):]:
             run.fresh.pop(name, None)
         if not run.config_written:
+            for tmp in self.run_dir.rglob("*.tmp"):  # what a killed run's writes left
+                tmp.unlink()
             write_json_atomic(self.path("effective_config.json"), self.config.to_json())
             write_json_atomic(self.path("format.json"), {"version": FORMAT_VERSION})
             run.config_written = True

@@ -530,6 +530,42 @@ with run_lock(Path(sys.argv[1])):
 """
 
 
+class TestCrashResidue:
+    def test_resume_after_a_kill_inside_a_write_leaves_a_clean_tree(self, workspace, tmp_path):
+        runner = make_runner(workspace)
+        killed = subprocess.run([sys.executable, "-c", DIE_INSIDE_A_WRITE, str(workspace),
+                                 "synthetic_3.json"], env=child_env(), timeout=120)
+        assert killed.returncode == 3
+        assert [p.name for p in runner.run_dir.rglob("*.tmp")]  # the write's temp file
+        assert "ran" in outcome_map(runner.run()).values()
+        reference = PipelineRunner(load_config(workspace, run_dir=str(tmp_path / "reference")))
+        reference.run()
+        assert run_tree_bytes(runner.run_dir) == run_tree_bytes(reference.run_dir)
+
+
+# Kill the process, as SIGKILL would, once the first chunk of a write of the
+# file named by argv[2] is handed over: no ``finally`` and no ``except`` runs.
+DIE_INSIDE_A_WRITE = """
+import os, sys
+from pathlib import Path
+from docrte import docio
+from docrte.config import load_config
+from docrte.pipeline import PipelineRunner
+write = docio.write_chunks_atomic
+
+def dying(path, chunks):
+    if Path(path).name != sys.argv[2]:
+        return write(path, chunks)
+    def first_then_exit():
+        yield next(iter(chunks))
+        os._exit(3)
+    return write(path, first_then_exit())
+
+docio.write_chunks_atomic = dying
+PipelineRunner(load_config(sys.argv[1])).run()
+"""
+
+
 class TestCollectorPolicy:
     def test_stage_body_runs_with_raised_gen0_threshold(self, workspace):
         before = gc.get_threshold()
