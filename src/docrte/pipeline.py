@@ -22,13 +22,13 @@ test views to evaluate (split reads each source once for every seed and holds
 no source corpus), ``synthetic_<seed>`` from generate to pseudo-label and
 denoise, ``denoised_<seed>`` from denoise to finetune-data-denoised.  It is
 dropped after its last reader ran and when the run ends; a stage run on its
-own loads the file.  The training views are written nowhere: split checks the
-train source and hands every seed's view to a later finetune-data of the same
-run, and finetune-data run without it rebuilds them in one pass over the train
-source, which it records as a source of its own.  With the mock backend
-and predictor, pseudo-label's oracle likewise reuses the truth corpus of the
-mock world generate built for the same seed in the same run; otherwise it
-rebuilds the world, a pure function of the config, seed and split.
+own loads the file.  No other result of a stage reaches another in memory.
+The training views are written nowhere: split only checks the train rows, and
+finetune-data builds every seed's view in one pass over the train source,
+which it records as a source of its own.  With the mock predictor,
+pseudo-label's oracle reads each document's true labels from the mock world,
+which it rebuilds (a pure function of the config, seed and split) without
+building a document.
 
 A run hashes each file at most once.  A file it wrote takes the digest its
 writer returned; any other file (config sources, run files of skipped stages)
@@ -39,10 +39,9 @@ than that of the bytes it used: a JSON file a stage parses (run files, the
 registry, the DocRED sources, prediction files) is hashed from the very
 bytes parsed, and a mismatch with the digest the stage recorded fails the
 stage with a :class:`StageError` naming the file; a corpus handed over in
-memory is the one its writer's digest (a training view's: its source's)
-describes.  Templates and a replayed cassette are
-read by their own modules after they were hashed, so an edit in between
-leaves the old digest recorded and the next run reruns the stage.
+memory is the one its writer's digest describes.  Templates and a replayed
+cassette are read by their own modules after they were hashed, so an edit in
+between leaves the old digest recorded and the next run reruns the stage.
 
 Run directory layout::
 
@@ -67,7 +66,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
-from functools import reduce
+from functools import partial, reduce
 from itertools import product
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -116,8 +115,8 @@ from .pseudo import (
     predict_corpus,
     write_finetune_file,
 )
-from .simulate import chat_script, mock_generation_corpus
-from .split import SplitBundle, SplitError, SplitSpec, sample_unseen, save_split_spec, view_document
+from .simulate import chat_script, mock_generation_corpus, mock_world, world_truth
+from .split import SplitError, SplitSpec, sample_unseen, save_split_spec, view_document, warn_if_empty
 
 logger = logging.getLogger(__name__)
 
@@ -226,8 +225,6 @@ class Stage:
                 for dep, keys in self.reads.items() for key in keys for seed in seeds}
 
 
-SPLIT_VIEWS = ("train", "dev", "test")  # of the sources in config fields <key>_docs
-
 STAGES: dict[str, Stage] = {stage.name: stage for stage in (
     # split checks the train source; finetune-data derives its view from it
     Stage("split", reads={},
@@ -289,7 +286,7 @@ STAGE_GC_GEN0 = 100_000
 class _Held(NamedTuple):
     """A corpus kept in memory for a later stage of the current run."""
 
-    digest: str  # of the bytes it was written as; of its source for a training view
+    digest: str  # of the bytes it was written as
     corpus: Corpus
     last_reader: str  # the stage after which it is dropped
 
@@ -307,12 +304,9 @@ class _Run:
     config_written: bool = False  # whether effective_config.json echoes the config
     cassette: CassetteBackend | None = None  # generate's, shared by its seeds
     registry: RelationRegistry | None = None
-    # pseudo-label's oracles over the truth corpora of generate's mock worlds, so
-    # a run builds each world once; an oracle holds far less than its corpus
-    oracles: dict[tuple[int, SplitSpec], OraclePredictor] = field(default_factory=dict)
-    # corpora for later stages, by the file written; a training view by its spec
-    held: dict[Path | SplitSpec, _Held] = field(default_factory=dict)
-    split_views: dict[int, SplitBundle] = field(default_factory=dict)  # by seed, until written
+    held: dict[Path, _Held] = field(default_factory=dict)  # by the file each was written to
+    # the running stage's views of the DocRED sources, by seed, until its seed takes them
+    views: dict[int, list[Corpus]] = field(default_factory=dict)
 
 
 @dataclass
@@ -642,23 +636,12 @@ class PipelineRunner:
 
     # -- transports -----------------------------------------------------------
 
-    def _mock_world(self, seed: int, spec: SplitSpec):
-        return mock_generation_corpus(
-            self.registry,
-            sorted(spec.unseen),
-            sorted(spec.seen),
-            seed,
-            self.config.docs_per_relation,
-            self.config.n_related,
-            self.config.mock,
-        )
-
     def default_chat_backend(self, seed: int, spec: SplitSpec) -> ChatBackend:
         cfg, run = self.config, self._run  # run is None when another runner's factory calls this
         if cfg.backend == "mock":
-            world, truth, corrupted = self._mock_world(seed, spec)
-            if cfg.predictor == "mock" and run and "pseudo-label" in run.stages:
-                run.oracles[seed, spec] = self._pseudo_oracle(seed, spec, truth)
+            world, _, corrupted = mock_generation_corpus(
+                self.registry, sorted(spec.unseen), sorted(spec.seen), seed,
+                cfg.docs_per_relation, cfg.n_related, cfg.mock)
             return ScriptedBackend(chat_script(world, corrupted), record_calls=False)
         if cfg.backend == "cassette":
             # one per run: the seeds of a replay consume the file in recorded order
@@ -694,17 +677,13 @@ class PipelineRunner:
             return HttpPredictor(getattr(self.config, f"{role}_url"))
         raise StageError(f"{role} is {kind!r}; configure another {role} to run this stage")
 
-    def _pseudo_oracle(self, seed: int, spec: SplitSpec, truth: Corpus) -> OraclePredictor:
-        return OraclePredictor(truth, self.registry, drop_prob=self.config.mock.pseudo_drop_prob,
-                               seed=seed, restrict_to=sorted(spec.unseen))
-
     def default_pseudo_predictor(self, seed: int, spec: SplitSpec) -> PredictorBackend:
-        def oracle() -> PredictorBackend:
-            if (seed, spec) in self._run.oracles:
-                return self._run.oracles.pop((seed, spec))
-            return self._pseudo_oracle(seed, spec, self._mock_world(seed, spec)[1])
-
-        return self._predictor("predictor", oracle)
+        cfg, unseen = self.config, sorted(spec.unseen)
+        return self._predictor("predictor", lambda: OraclePredictor(
+            world_truth(mock_world(self.registry, unseen, sorted(spec.seen), seed,
+                                   cfg.n_related, cfg.mock),
+                        cfg.docs_per_relation, cfg.mock.facts_per_doc, seed),
+            self.registry, drop_prob=cfg.mock.pseudo_drop_prob, seed=seed, restrict_to=unseen))
 
     def default_final_predictor(self, seed: int, spec: SplitSpec, gold: Corpus,
                                 split_name: str) -> PredictorBackend:
@@ -715,35 +694,40 @@ class PipelineRunner:
     # -- stages ---------------------------------------------------------------
 
     def _stage_split(self, seed: int) -> None:
-        run = self._run
-        if not run.split_views:  # the first seed's call builds every seed's views
-            specs = [sample_unseen(self.registry, self.config.m, s) for s in self.config.seeds]
-            views = self._views(specs, SPLIT_VIEWS)
-            run.split_views = {spec.seed: SplitBundle(spec, *views[spec.seed]) for spec in specs}
-        bundle = run.split_views.pop(seed)
-        if "finetune-data" in run.stages:
-            run.held[bundle.spec] = _Held(run.inputs["config:train_docs"], bundle.train,
-                                          "finetune-data")
-        self._write("split", seed, "spec", lambda path: save_split_spec(bundle.spec, path))
-        self._save_corpus("split", seed, "dev", bundle.eval_dev)
-        self._save_corpus("split", seed, "test", bundle.eval_test)
+        spec_of = partial(sample_unseen, self.registry, self.config.m)
+        spec = spec_of(seed)
+        # the train rows are checked; finetune-data builds the training views
+        dev, test = self._views(seed, spec_of, ("dev", "test"), checked=("train",))
+        warn_if_empty(spec, eval_dev=dev, eval_test=test)
+        self._write("split", seed, "spec", lambda path: save_split_spec(spec, path))
+        self._save_corpus("split", seed, "dev", dev)
+        self._save_corpus("split", seed, "test", test)
 
-    def _views(self, specs: Sequence[SplitSpec], keys: Sequence[str]) -> dict[int, list[Corpus]]:
-        """Each spec's views ``keys``, by seed, with each source file read
-        once: each document goes into every view as it is read."""
-        cfg, registry = self.config, self.registry
-        paths = {key: Path(getattr(cfg, f"{key}_docs")) for key in keys}
-        views: dict[tuple[int, str], list[Document]] = {
-            (spec.seed, key): [] for spec in specs for key in keys}
-        for path in dict.fromkeys(paths.values()):
-            named = [key for key in keys if paths[key] == path]
-            for doc in iter_docred(path, registry, self._run.inputs[f"config:{named[0]}_docs"]):
-                for key, spec in product(named, specs):
-                    view = view_document(doc, spec, cfg.mixed_policy if key == "train" else None)
-                    if view is not None:
-                        views[spec.seed, key].append(view)
-        return {spec.seed: [Corpus(views[spec.seed, key], "human", registry) for key in keys]
-                for spec in specs}
+    def _views(self, seed: int, spec_of: Callable[[int], SplitSpec], keys: Sequence[str],
+               checked: Sequence[str] = ()) -> list[Corpus]:
+        """The views ``keys`` (of the sources in config fields ``<key>_docs``)
+        of ``seed``.  The first seed's call builds every seed's, each seed's
+        spec given by ``spec_of``, reading each source file once: each document
+        goes into every view as it is read.  The sources of ``checked`` are
+        read and checked too, for no view."""
+        run, cfg, registry = self._run, self.config, self.registry
+        if seed not in run.views:
+            specs = [spec_of(s) for s in cfg.seeds]
+            paths = {key: Path(getattr(cfg, f"{key}_docs")) for key in (*checked, *keys)}
+            views: dict[tuple[int, str], list[Document]] = {
+                (spec.seed, key): [] for spec in specs for key in keys}
+            for path in dict.fromkeys(paths.values()):
+                source = next(key for key in paths if paths[key] == path)
+                named = [key for key in keys if paths[key] == path]
+                for doc in iter_docred(path, registry, run.inputs[f"config:{source}_docs"]):
+                    for key, spec in product(named, specs):
+                        view = view_document(doc, spec,
+                                             cfg.mixed_policy if key == "train" else None)
+                        if view is not None:
+                            views[spec.seed, key].append(view)
+            run.views = {spec.seed: [Corpus(views[spec.seed, key], "human", registry)
+                                     for key in keys] for spec in specs}
+        return run.views.pop(seed)
 
     def _stage_generate(self, seed: int) -> None:
         cfg = self.config
@@ -768,20 +752,8 @@ class PipelineRunner:
     def _stage_finetune_data(self, seed: int) -> None:
         spec = self._spec("finetune-data", seed)
         groups = partition_relations(sorted(spec.seen), self.config.group_size, seed=seed)
-        self._write_samples("finetune-data", seed, self._train_view(spec), groups)
-
-    def _train_view(self, spec: SplitSpec) -> Corpus:
-        """The training view of ``spec``: split's from earlier in this run if it
-        was built from the train source finetune-data records, else every
-        seed's view rebuilt from that source, read once and checked against it."""
-        run = self._run
-        digest = run.inputs["config:train_docs"]
-        held = run.held.get(spec)
-        if held is None or held.digest != digest:
-            specs = [self._spec("finetune-data", seed) for seed in self.config.seeds]
-            views = self._views(specs, ("train",))
-            run.held.update((s, _Held(digest, views[s.seed][0], "finetune-data")) for s in specs)
-        return run.held.pop(spec).corpus
+        [train] = self._views(seed, partial(self._spec, "finetune-data"), ("train",))
+        self._write_samples("finetune-data", seed, train, groups)
 
     def _stage_pseudo_label(self, seed: int) -> None:
         cfg = self.config

@@ -349,16 +349,17 @@ class HttpPredictor(PredictorBackend):
 
 
 class OraclePredictor(PredictorBackend):
-    """Test/mock predictor that echoes a gold corpus's own labels.
+    """Test/mock predictor that echoes the gold labels of each document.
 
-    Documents are recognized by their title line (the first line of the
-    rendered document text).  With ``drop_prob > 0`` each true triplet is
-    dropped with that probability, seeded per document so results do not
-    depend on call order or threading.
+    ``truth`` is a gold corpus, or each document title's ``(head name, tail
+    name, relation id)`` triplets.  Documents are recognized by their title
+    line (the first line of the rendered document text).  With
+    ``drop_prob > 0`` each true triplet is dropped with that probability,
+    seeded per document so results do not depend on call order or threading.
     """
 
-    def __init__(self, corpus: Corpus, registry: RelationRegistry,
-                 drop_prob: float = 0.0, seed: int = 0,
+    def __init__(self, truth: Corpus | Mapping[str, Sequence[tuple[str, str, str]]],
+                 registry: RelationRegistry, drop_prob: float = 0.0, seed: int = 0,
                  restrict_to: Sequence[str] | None = None):
         if not 0.0 <= drop_prob < 1.0:
             raise ValueError("drop_prob must lie in [0, 1)")
@@ -366,10 +367,10 @@ class OraclePredictor(PredictorBackend):
         self.drop_prob = drop_prob
         self.seed = seed
         allowed = set(restrict_to) if restrict_to is not None else None
-        self._by_title: dict[str, list[tuple[str, str, str]]] = {}
-        for doc in corpus.documents:
-            self._by_title[doc.title] = [t for t in doc.name_triplets()
-                                         if allowed is None or t[2] in allowed]
+        if isinstance(truth, Corpus):
+            truth = {doc.title: doc.name_triplets() for doc in truth.documents}
+        self._by_title = {title: [t for t in triplets if allowed is None or t[2] in allowed]
+                          for title, triplets in truth.items()}
 
     def predict(self, instruction, document_text, relation_names):
         title = document_text.splitlines()[0] if document_text else ""

@@ -4,10 +4,11 @@ A world is a small knowledge graph of fictional entities and facts.  From it
 we fabricate document corpora whose labels are exactly the facts co-occurring
 in each document, corrupt those labels with seeded noise (deletions plus
 singleton spurious facts), derive scripted chat answers that replay the
-corrupted documents through the generation chain, and build oracle predictors
-over the true labels.  Everything is a pure function of (registry, relation
-split, seed, sizes), so separate pipeline stages can rebuild the same world
-independently — that is what makes mock runs resumable and byte-identical.
+corrupted documents through the generation chain, and give oracle predictors
+each document's true labels without building the document.  Everything is a
+pure function of (registry, relation split, seed, sizes), so separate
+pipeline stages can rebuild the same world independently — that is what
+makes mock runs resumable and byte-identical.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .docio import save_docred, write_text_atomic
 from .generate import ground_entity_mentions, lowered_sentences
@@ -206,6 +207,13 @@ def _fact_sentence(world: SimWorld, fact: FactKey) -> list[str]:
             + ["alongside"] + tail.name.split() + ["in", "the", "archive", "."])
 
 
+def _closure(world: SimWorld, keys: Collection[str]) -> list[FactKey]:
+    """Every world fact whose head and tail keys are both in ``keys``, sorted."""
+    closure = [fact for key in keys for fact in world.facts_by_head.get(key, ())
+               if fact.tail_key in keys]
+    return sorted(closure, key=FactKey.sort_key)
+
+
 def _doc_from_facts(
     world: SimWorld, doc_id: str, title: str, chosen: Sequence[FactKey]
 ) -> Document:
@@ -226,10 +234,8 @@ def _doc_from_facts(
         mentions = ground_entity_mentions(ent.name, sentences, ent.etype, lowered)
         doc_entities.append(Entity(canonical_name=ent.name, mentions=mentions))
     index_of = {ent.key: i for i, ent in enumerate(doc_entities)}
-    closure = [fact for key in index_of for fact in world.facts_by_head.get(key, ())
-               if fact.tail_key in index_of]
     labels = []
-    for fact in sorted(closure, key=FactKey.sort_key):
+    for fact in _closure(world, index_of):
         h, t = index_of[fact.head_key], index_of[fact.tail_key]
         evidence = sorted(
             doc_entities[h].sentence_ids() & doc_entities[t].sentence_ids()
@@ -240,27 +246,14 @@ def _doc_from_facts(
                     entities=doc_entities, labels=labels)
 
 
-def world_documents(
-    world: SimWorld,
-    docs_per_relation: int,
-    facts_per_doc: int,
-    seed: int,
-    id_prefix: str = "",
-) -> Corpus:
-    """Fabricate ``docs_per_relation`` documents per unseen relation.
-
-    Each document is guaranteed to express at least one fact of its relation
-    (rotating through that relation's facts so all get coverage) plus a
-    seeded sample of other facts, preferring the relation's related pool.
-    """
-    documents = []
+def _draws(
+    world: SimWorld, docs_per_relation: int, facts_per_doc: int, seed: int, id_prefix: str
+) -> Iterator[tuple[str, list[FactKey]]]:
+    """The id and chosen facts of each document :func:`world_documents` builds, in order."""
     for rel in world.unseen:
         own = world.facts_by_relation[rel]
-        extras_pool = [
-            f
-            for r in (rel, *world.related.get(rel, ()))
-            for f in world.facts_by_relation.get(r, [])
-        ]
+        extras_pool = [f for r in (rel, *world.related.get(rel, ()))
+                       for f in world.facts_by_relation.get(r, [])]
         for k in range(docs_per_relation):
             rng = random.Random(f"doc:{seed}:{rel}:{k}")
             # the pool starts with ``own`` and holds each fact once
@@ -269,14 +262,39 @@ def world_documents(
             candidates = extras_pool[:j] + extras_pool[j + 1:]
             n_extra = min(max(facts_per_doc - 1, 0), len(candidates))
             chosen += rng.sample(candidates, n_extra)
-            doc_id = f"{id_prefix}{rel}-{k:02d}"
-            documents.append(
-                _doc_from_facts(world, doc_id, f"Dossier {doc_id}", chosen)
-            )
+            yield f"{id_prefix}{rel}-{k:02d}", chosen
+
+
+def world_documents(world: SimWorld, docs_per_relation: int, facts_per_doc: int, seed: int,
+                    id_prefix: str = "") -> Corpus:
+    """Fabricate ``docs_per_relation`` documents per unseen relation.
+
+    Each document is guaranteed to express at least one fact of its relation
+    (rotating through that relation's facts so all get coverage) plus a
+    seeded sample of other facts, preferring the relation's related pool.
+    """
+    documents = [_doc_from_facts(world, doc_id, f"Dossier {doc_id}", chosen)
+                 for doc_id, chosen in _draws(world, docs_per_relation, facts_per_doc, seed,
+                                              id_prefix)]
     corpus = Corpus(documents=documents, provenance="synthetic",
                     registry=world.registry)
     validate_corpus(corpus)
     return corpus
+
+
+def world_truth(
+    world: SimWorld, docs_per_relation: int, facts_per_doc: int, seed: int
+) -> dict[str, list[tuple[str, str, str]]]:
+    """Each title of :func:`world_documents`'s corpus mapped to the ``(head
+    name, tail name, relation id)`` of its labels, in label order: the same
+    draws and closure, but no document is built.  A mock oracle reads this."""
+    truth = {}
+    for doc_id, chosen in _draws(world, docs_per_relation, facts_per_doc, seed, ""):
+        keys = {ent.key for fact in chosen for ent in world.facts[fact]}
+        truth[f"Dossier {doc_id}"] = [
+            (world.facts[fact][0].name, world.facts[fact][1].name, fact.relation)
+            for fact in _closure(world, keys)]
+    return truth
 
 
 def corrupt_labels(
@@ -415,28 +433,24 @@ class MockWorldParams:
                 raise ValueError(f"{name} must lie in [0, 1), got {p}")
 
 
-def mock_generation_corpus(
-    registry: RelationRegistry,
-    unseen: Sequence[str],
-    seen: Sequence[str],
-    seed: int,
-    docs_per_relation: int,
-    n_related: int,
-    params: MockWorldParams,
-) -> tuple[SimWorld, Corpus, Corpus]:
+def mock_world(registry: RelationRegistry, unseen: Sequence[str], seen: Sequence[str],
+               seed: int, n_related: int, params: MockWorldParams) -> SimWorld:
+    """The world of one replicate, which :func:`mock_generation_corpus` builds on."""
+    return build_world(registry, unseen, seed=params.world_seed * 100003 + seed,
+                       facts_per_relation=params.facts_per_relation, related_pool=seen,
+                       n_related=n_related)
+
+
+def mock_generation_corpus(registry: RelationRegistry, unseen: Sequence[str],
+                           seen: Sequence[str], seed: int, docs_per_relation: int,
+                           n_related: int, params: MockWorldParams,
+                           ) -> tuple[SimWorld, Corpus, Corpus]:
     """World + true corpus + corrupted corpus for one replicate.
 
     Deterministic in all arguments, so any pipeline stage can rebuild the
     same triple without passing state around.
     """
-    world = build_world(
-        registry,
-        unseen,
-        seed=params.world_seed * 100003 + seed,
-        facts_per_relation=params.facts_per_relation,
-        related_pool=seen,
-        n_related=n_related,
-    )
+    world = mock_world(registry, unseen, seen, seed, n_related, params)
     truth = world_documents(world, docs_per_relation, params.facts_per_doc, seed=seed)
     corrupted = corrupt_labels(
         truth, world.unseen, params.label_drop_prob, params.spurious_prob, seed=seed

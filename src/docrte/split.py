@@ -85,6 +85,13 @@ def make_replicates(registry: RelationRegistry, m: int, seeds: Sequence[int]) ->
     return [sample_unseen(registry, m, seed) for seed in seeds]
 
 
+def warn_if_empty(spec: SplitSpec, **views: Corpus) -> None:
+    """Log a warning for each of the evaluation ``views`` of ``spec`` that holds no document."""
+    for name, view in views.items():
+        if not view.documents:
+            logger.warning("split seed=%d m=%d: %s is empty", spec.seed, spec.m, name)
+
+
 @dataclass
 class SplitBundle:
     spec: SplitSpec
@@ -93,9 +100,7 @@ class SplitBundle:
     eval_test: Corpus
 
     def __post_init__(self) -> None:
-        for name in ("eval_dev", "eval_test"):
-            if not getattr(self, name).documents:
-                logger.warning("split seed=%d m=%d: %s is empty", self.spec.seed, self.spec.m, name)
+        warn_if_empty(self.spec, eval_dev=self.eval_dev, eval_test=self.eval_test)
 
 
 def view_document(doc: Document, spec: SplitSpec, mixed_policy: str | None) -> Document | None:

@@ -1,9 +1,9 @@
 """Micro benchmarks for the mock world, corpus validation, loading a DocRED
-source, the split stage, mention grounding, relabeling, bulk JSON writes
-(corpora and generation records), finetune-data assembly and hashing a run
-directory's files.  The split stage also reports its tracemalloc peak and the
-bytes of the files it writes in the benchmark's ``extra_info``
-(``--benchmark-json``) and on standard output (``-s``).
+source, the split and pseudo-label stages, mention grounding, relabeling,
+bulk JSON writes (corpora and generation records), finetune-data assembly and
+hashing a run directory's files.  The two stages also report their
+tracemalloc peak and the bytes of the files they write in the benchmark's
+``extra_info`` (``--benchmark-json``) and on standard output (``-s``).
 
 Each layer runs at two sizes; the larger one has four times the documents
 and four times the world facts, so near-linear code takes about four times
@@ -129,25 +129,50 @@ def split_config(request, tmp_path_factory):
     return request.param, config_from_dict(data, base_dir=work)
 
 
-@pytest.mark.benchmark(group="split")
-def test_split_stage(benchmark, split_config):
-    size, config = split_config
+def bench_stage(benchmark, size, config, stage, folder):
+    """Benchmark a forced run of ``stage`` alone, then report its traced peak
+    and the bytes of the files in ``folder`` of the run directory."""
 
-    def split():
-        return PipelineRunner(config).run(["split"], force=True)
+    def run():
+        return PipelineRunner(config).run([stage], force=True)
 
-    outcomes = benchmark(split)
-    assert [(o.stage, o.status) for o in outcomes] == [("split", "ran")]
+    outcomes = benchmark(run)
+    assert [(o.stage, o.status) for o in outcomes] == [(stage, "ran")]
     tracemalloc.start()
     try:
-        split()
+        run()
         peak = tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
-    written = sum(path.stat().st_size for path in Path(config.run_dir, "split").iterdir())
+    written = sum(path.stat().st_size for path in Path(config.run_dir, folder).iterdir())
     benchmark.extra_info["tracemalloc_peak_mb"] = peak
     benchmark.extra_info["bytes_written"] = written
-    print(f"\nsplit ({size}): tracemalloc peak {peak:.2f} MB, {written:,} bytes written")
+    print(f"\n{stage} ({size}): tracemalloc peak {peak:.2f} MB, {written:,} bytes written")
+
+
+@pytest.mark.benchmark(group="split")
+def test_split_stage(benchmark, split_config):
+    bench_stage(benchmark, *split_config, "split", "split")
+
+
+@pytest.fixture(scope="module", params=list(SIZES))
+def pseudo_config(request, tmp_path_factory):
+    """A one-seed mock run with split and generate done, over the world facts
+    and documents per unseen relation of a size."""
+    facts_per_relation, docs_per_relation = SIZES[request.param]
+    work = tmp_path_factory.mktemp("pseudo")
+    write_demo_inputs(work, n_relations=3 * UNSEEN)
+    data = json.loads(strip_json_comments((work / "config.json").read_text(encoding="utf-8")))
+    data.update(m=UNSEEN, seeds=[1], docs_per_relation=docs_per_relation,
+                mock={"facts_per_relation": facts_per_relation})
+    config = config_from_dict(data, base_dir=work)
+    PipelineRunner(config).run(["split", "generate"])
+    return request.param, config
+
+
+@pytest.mark.benchmark(group="pseudo_label")
+def test_pseudo_label_stage(benchmark, pseudo_config):
+    bench_stage(benchmark, *pseudo_config, "pseudo-label", "pseudo")
 
 
 @pytest.mark.benchmark(group="mention_grounding")

@@ -47,7 +47,14 @@ from docrte.simulate import (
     world_documents,
     write_demo_inputs,
 )
-from docrte.split import MIXED_POLICIES, SplitError, apply_split, load_split_spec, sample_unseen
+from docrte.split import (
+    MIXED_POLICIES,
+    SplitError,
+    apply_split,
+    load_split_spec,
+    sample_unseen,
+    view_document,
+)
 
 PIPELINE_CONFIG = {
     "registry": "registry.json",
@@ -613,32 +620,41 @@ def pseudo_bytes(run_dir):
 
 
 class TestWorldHandoff:
-    """Pseudo-label's mock oracle reuses the truth corpus of the world that
-    generate built in the same run, and builds the world itself otherwise."""
+    """Generate's mock backend builds each seed's world and its corpora.
+    Pseudo-label's mock oracle rebuilds only the world and reads each title's
+    true labels from it, in a run of its own as in a cold run."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        seeds = []
+        """The seeds of the calls to mock_generation_corpus and to world_documents."""
+        seeds = {"corpora": [], "documents": []}
 
         def counting(registry, unseen, seen, seed, *rest):
-            seeds.append(seed)
+            seeds["corpora"].append(seed)
             return mock_generation_corpus(registry, unseen, seen, seed, *rest)
 
+        def documents(world, docs_per_relation, facts_per_doc, seed, *rest):
+            seeds["documents"].append(seed)
+            return world_documents(world, docs_per_relation, facts_per_doc, seed, *rest)
+
         monkeypatch.setattr("docrte.pipeline.mock_generation_corpus", counting)
+        monkeypatch.setattr("docrte.simulate.world_documents", documents)
         return seeds
 
     def test_cold_run_builds_each_world_once(self, workspace, builds):
         make_runner(workspace).run()
-        assert builds == PIPELINE_CONFIG["seeds"]
+        seeds = PIPELINE_CONFIG["seeds"]
+        assert builds == {"corpora": seeds, "documents": seeds}  # all by generate
 
     def test_pseudo_label_alone_rebuilds_the_world(self, workspace, builds):
         runner = make_runner(workspace)
         runner.run()
         before = pseudo_bytes(runner.run_dir)
-        builds.clear()
+        builds["corpora"].clear()
+        builds["documents"].clear()
         outcomes = make_runner(workspace).run(["pseudo-label"], force=True)
         assert outcome_map(outcomes) == {"pseudo-label": "ran"}
-        assert builds == PIPELINE_CONFIG["seeds"]
+        assert builds == {"corpora": [], "documents": []}
         assert pseudo_bytes(runner.run_dir) == before
 
     def test_chat_factory_without_the_default_backend(self, workspace, tmp_path):
@@ -661,8 +677,8 @@ GENERATED_CORPORA = ("generate/synthetic_", "denoise/denoised_")
 
 
 class TestCorpusHandoff:
-    """Within one run(), split's views and the generated corpora reach the
-    later stages that load them without being read back from disk."""
+    """Within one run(), split's dev and test views and the generated corpora
+    reach the later stages that load them without being read back from disk."""
 
     @pytest.fixture
     def loads(self, monkeypatch):
@@ -692,13 +708,15 @@ class TestCorpusHandoff:
                 taken.append((stage, seed, key, corpus))
                 return corpus
 
-            def _train_view(self, spec):
-                corpus = super()._train_view(spec)
-                source = load_docred(self.config.train_docs, self.registry)
-                view = apply_split(source, source, source, spec, self.config.mixed_policy).train
-                assert corpus == view
-                taken.append(("finetune-data", spec.seed, "train", corpus))
-                return corpus
+            def _views(self, seed, spec_of, keys, checked=()):
+                views = super()._views(seed, spec_of, keys, checked)
+                if keys == ("train",):  # finetune-data's, built from the train source
+                    source = load_docred(self.config.train_docs, self.registry)
+                    spec = spec_of(seed)
+                    view = apply_split(source, source, source, spec, self.config.mixed_policy)
+                    assert views == [view.train]
+                    taken.append(("finetune-data", seed, "train", views[0]))
+                return views
 
         Checking(load_config(workspace)).run()
         seeds = PIPELINE_CONFIG["seeds"]
@@ -783,8 +801,8 @@ class TestCorpusHandoff:
 
 class TestTrainView:
     """Finetune-data derives each seed's training view from the train source
-    and split's spec: within one run it takes the views split built, and run
-    without split it rebuilds every seed's view in one pass over the source."""
+    and split's spec, building every seed's view in one pass over the source,
+    whether or not split ran earlier in the same run."""
 
     @pytest.mark.parametrize("mixed_policy", MIXED_POLICIES)
     def test_separate_runs_write_what_one_run_writes(self, workspace, reads, tmp_path,
@@ -815,7 +833,8 @@ class TestTrainView:
 
 class TestStreamedSplit:
     """Split reads each source file once for every seed and keeps only the
-    views, which equal apply_split of the fully loaded sources."""
+    dev and test views; finetune-data reads the train source once for every
+    seed.  The views equal apply_split of the fully loaded sources."""
 
     @pytest.mark.parametrize("mixed_policy", MIXED_POLICIES)
     def test_views_equal_apply_split_of_the_loaded_sources(self, workspace, reads,
@@ -826,13 +845,16 @@ class TestStreamedSplit:
         train_views = {}
 
         class Keeping(PipelineRunner):
-            def _train_view(self, spec):
-                train_views[spec.seed] = super()._train_view(spec)
-                return train_views[spec.seed]
+            def _views(self, seed, spec_of, keys, checked=()):
+                views = super()._views(seed, spec_of, keys, checked)
+                if keys == ("train",):
+                    train_views[seed] = views[0]
+                return views
 
         runner = Keeping(load_config(workspace))
         runner.run(["split", "finetune-data"])
-        assert reads == ["train.json", "dev.json", "test.json"]
+        # split checks the train rows, then finetune-data builds the views from them
+        assert reads == ["train.json", "dev.json", "test.json", "train.json"]
         registry = runner.registry
         sources = [load_docred(workspace.parent / f"{key}.json", registry)
                    for key in ("train", "dev", "test")]
@@ -848,6 +870,20 @@ class TestStreamedSplit:
             stripped += sum(doc.labels != source_labels[doc.doc_id]
                             for doc in bundle.train.documents)
         assert (stripped > 0) == (mixed_policy == "strip")
+
+    def test_a_bare_split_builds_no_training_view(self, workspace, monkeypatch):
+        workspace.write_text(json.dumps(dict(PIPELINE_CONFIG, mixed_policy="strip")),
+                             encoding="utf-8")
+        policies = []
+
+        def recording(doc, spec, mixed_policy):
+            policies.append(mixed_policy)
+            return view_document(doc, spec, mixed_policy)
+
+        monkeypatch.setattr("docrte.pipeline.view_document", recording)
+        runner = make_runner(workspace)
+        assert outcome_map(runner.run(["split"])) == {"split": "ran"}
+        assert policies and set(policies) == {None}  # the dev and test views only
 
     def test_a_file_named_twice_is_read_once(self, workspace, reads):
         workspace.write_text(json.dumps(dict(PIPELINE_CONFIG, test_docs="dev.json")),

@@ -23,8 +23,10 @@ from docrte.simulate import (
     chat_script,
     corrupt_labels,
     mock_generation_corpus,
+    mock_world,
     synthetic_registry,
     world_documents,
+    world_truth,
     write_demo_inputs,
 )
 
@@ -298,6 +300,37 @@ class TestMockGenerationCorpus:
         assert len(truth.documents) == len(noisy.documents) == 10
         assert canonical_dumps(corpus_to_json(truth)) != \
             canonical_dumps(corpus_to_json(noisy))
+
+
+class TestWorldTruth:
+    """world_truth gives each title of world_documents' corpus the names of
+    its labels, in label order, without building a document."""
+
+    # (world seed, facts per relation, facts per document, related relations);
+    # one fact per relation and none related leave each relation a one-fact pool
+    @pytest.mark.parametrize("seed, facts_per_relation, facts_per_doc, n_related", [
+        (1, 4, 3, 2), (7, 6, 1, 3), (13, 1, 2, 0), (21, 3, 5, 1)])
+    def test_equals_the_labels_of_world_documents(self, seed, facts_per_relation,
+                                                  facts_per_doc, n_related):
+        registry = synthetic_registry(12)
+        ids = registry.ids()
+        world = build_world(registry, ids[:3], seed=seed, facts_per_relation=facts_per_relation,
+                            related_pool=ids[3:], n_related=n_related)
+        corpus = world_documents(world, 5, facts_per_doc, seed=seed)
+        truth = world_truth(world, 5, facts_per_doc, seed)
+        assert truth == {doc.title: doc.name_triplets() for doc in corpus.documents}
+        assert len(truth) == 15
+
+    def test_mock_world_is_the_world_of_mock_generation_corpus(self):
+        registry = synthetic_registry(12)
+        ids = registry.ids()
+        params = MockWorldParams(facts_per_relation=3, facts_per_doc=2, world_seed=4)
+        args = (registry, ids[:2], ids[2:], 13)
+        world, truth, _ = mock_generation_corpus(*args, 3, 2, params)
+        rebuilt = mock_world(*args, 2, params)
+        assert rebuilt.all_facts() == world.all_facts()
+        assert world_truth(rebuilt, 3, params.facts_per_doc, 13) == {
+            doc.title: doc.name_triplets() for doc in truth.documents}
 
 
 class TestDemoInputs:
