@@ -1,9 +1,13 @@
 """Shared fixtures and small document builders for the test suite."""
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import strategies as st
 
+import docrte
 from docrte.model import (
     Corpus,
     Document,
@@ -22,6 +26,13 @@ from docrte.simulate import synthetic_registry
 TRICKY = st.text(alphabet=st.sampled_from(
     list('ab "\\/\n\t\r\x00\x01\x1f\x7fé€«»Zoë\u2028\u2029') + ["\U0001F600"]),
     max_size=8)
+
+
+def child_env(**overrides) -> dict[str, str]:
+    """The environment of a child interpreter that imports this docrte."""
+    package_root = str(Path(docrte.__file__).resolve().parents[1])
+    return dict(os.environ, **overrides, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
 
 
 def make_registry(*pairs: tuple[str, str]) -> RelationRegistry:

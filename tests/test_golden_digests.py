@@ -8,18 +8,13 @@ recording and its replay.  Two new interpreters under different
 from __future__ import annotations
 
 import json
-import os
-from pathlib import Path
 
-import docrte
+from conftest import child_env
 from make_golden_digests import GOLDEN, HASH_SEEDS, child_digests
 
 
 def test_artifacts_match_the_golden_digests_under_two_hash_seeds():
-    package_root = str(Path(docrte.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    first, second = (child_digests(seed, env) for seed in HASH_SEEDS)
+    first, second = (child_digests(seed, child_env()) for seed in HASH_SEEDS)
     assert first == second
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert first["run-all"] and first["replay"]

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import gc
 import json
-import os
 import subprocess
 import sys
 from dataclasses import fields, is_dataclass, replace
@@ -12,7 +11,6 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-import docrte
 from docrte.backends import CassetteBackend, ChatBackend, CountingBackend, ScriptedBackend
 from docrte.cli import main
 from docrte.config import PipelineConfig, load_config
@@ -55,6 +53,8 @@ from docrte.split import (
     sample_unseen,
     view_document,
 )
+
+from conftest import child_env
 
 PIPELINE_CONFIG = {
     "registry": "registry.json",
@@ -120,13 +120,6 @@ INERT_FIELDS = {
     "seeds", "run_dir", "parallelism", "cassette_mode", "live.api_key_env", "live.timeout",
     "live.max_attempts", "live.rate_per_sec", "live.burst",
 }
-
-
-def child_env(**overrides):
-    """The environment of a child interpreter that imports this docrte."""
-    package_root = str(Path(docrte.__file__).resolve().parents[1])
-    return dict(os.environ, **overrides, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
 
 
 def run_tree_bytes(run_dir, exclude=("manifests", "effective_config.json", ".lock")):
