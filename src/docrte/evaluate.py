@@ -217,11 +217,6 @@ def aggregate_scores(scores: Sequence[float]) -> AggregateResult:
     return AggregateResult(mean=mean, std=std, n=len(scores))
 
 
-def aggregate(results: Sequence[EvalResult]) -> AggregateResult:
-    """Aggregate replicate F1 scores on the 0-100 scale used in reports."""
-    return aggregate_scores([r.f1 * 100.0 for r in results])
-
-
 # ---------------------------------------------------------------------------
 # predictions file format: {doc_id: [{"head": ..., "tail": ..., "relation": ...}]}
 

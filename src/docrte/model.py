@@ -103,13 +103,6 @@ class RelationRegistry:
     def name_of(self, relation_id: str) -> str:
         return self.get(relation_id).name
 
-    def by_name(self, name: str) -> RelationType:
-        """Look a relation up by display name, case-insensitively."""
-        try:
-            return self._by_name[normalize_entity_key(name)]
-        except (KeyError, EntityKeyError):
-            raise RegistryError(f"unknown relation name {name!r}") from None
-
     def resolve(self, token: str) -> RelationType | None:
         """Resolve a free-form token as a relation id or name; None if neither."""
         tok = token.strip()
@@ -193,9 +186,6 @@ class Document:
     sentences: list[list[str]]
     entities: list[Entity]
     labels: list[TripletLabel]
-
-    def entity_keys(self) -> set[str]:
-        return {e.key for e in self.entities}
 
     def key_to_index(self) -> dict[str, int]:
         """Map entity key -> index of its first entity with that key."""

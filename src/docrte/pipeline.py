@@ -2,19 +2,19 @@
 
 The stages are one table, :data:`STAGES`.  Each stage runs once per seed,
 reading files that earlier stages wrote under the run directory, and records
-a manifest with content digests of its inputs and outputs.  A stage is
-skipped when its manifest says it already ran with byte-identical inputs and
-its outputs are still intact, so an interrupted pipeline resumes without
-recomputing (and without re-issuing chat requests).  A stage runs only when
-every upstream stage is fresh: its manifest says ``ok``, its params and
-sources match the config, it recorded as inputs what its own upstream stages
-recorded as outputs, and it recorded as outputs what the stage about to run
-reads.  Otherwise :class:`MissingStageError` names the stale stage; running
-every stage reruns it first.  All artifact writes are atomic (write to a
-temp file, then rename), which keeps a crash from leaving a half-written
-file that a resume would mistake for a completed one; the first stage a run
-executes removes the temp files of writes a killed run left, under the
-run-directory lock.
+a manifest with content digests of its inputs and outputs.  One rule judges
+every stage, the one about to run and each one upstream of it: a stage is
+fresh when its manifest says ``ok``, the inputs it recorded (params, sources,
+run files read) equal what it would record now, it records every output it
+declares with the digest the file still has, and each stage it reads from is
+fresh.  A fresh stage is skipped, so an interrupted pipeline resumes without
+recomputing or re-issuing chat requests.  A stage runs only when every
+upstream stage is fresh, else :class:`MissingStageError` names the stale one
+(running every stage reruns it first), so a single-stage command hashes every
+upstream output once, generation records included.  Each artifact write is
+atomic (temp file, then rename): a crash leaves no half-written file for a
+resume to take as complete, and the first stage a run executes removes the
+temp files a killed run left, under the run-directory lock.
 
 Within one :meth:`PipelineRunner.run`, a corpus is handed to the later
 stages that load it (``Stage.loads``) without being read back: split's dev and
@@ -180,13 +180,13 @@ class Stage:
 
     ``reads`` maps each upstream stage (its deps, in the order they are
     checked) to the keys of its outputs read here; ``writes`` maps output
-    keys to run-file names with a ``{seed}`` slot.  ``params`` names the
-    config values the outputs depend on; ``params_when`` adds more while a
-    config field has a given value.  ``sources`` gives the config-named files
-    read.  ``loads`` names the read keys that are corpora the runner may hand
-    over in memory from an earlier stage of the same run.  The runner calls
-    ``_stage_<name>(seed)`` for every seed, then the ``finish`` method, if
-    any, with every seed's result.
+    keys to run-file names with a ``{seed}`` slot, or none for a file of all
+    seeds.  ``params`` names the config values the outputs depend on;
+    ``params_when`` adds more while a config field has a given value.
+    ``sources`` gives the config-named files read.  ``loads`` names the read
+    keys that are corpora the runner may hand over in memory from an earlier
+    stage of the same run.  The runner calls ``_stage_<name>(seed)`` for
+    every seed, then the ``finish`` method, if any, with every seed's result.
     """
 
     name: str
@@ -197,7 +197,6 @@ class Stage:
     sources: Callable[[PipelineConfig], dict[str, Path]] = _registry_source
     loads: tuple[str, ...] = ()
     finish: str | None = None
-    finish_writes: tuple[str, ...] = ()
 
     def param_values(self, cfg: PipelineConfig) -> dict[str, Any]:
         names = list(self.params)
@@ -215,9 +214,10 @@ class Stage:
         return {key: STAGES[dep].writes[key].format(seed=seed)
                 for dep, keys in self.reads.items() for key in keys}
 
-    def outputs(self, seed: int) -> dict[str, str]:
-        """Run files written for one seed, by output key."""
-        return {key: name.format(seed=seed) for key, name in self.writes.items()}
+    def output_files(self, seeds: Sequence[int]) -> list[str]:
+        """Every run file written for ``seeds``, each once."""
+        return list(dict.fromkeys(name.format(seed=seed)
+                                  for seed in seeds for name in self.writes.values()))
 
     def upstream_files(self, seeds: Sequence[int]) -> dict[str, str]:
         """Every run file read for ``seeds``, mapped to the stage that wrote it."""
@@ -261,14 +261,15 @@ STAGES: dict[str, Stage] = {stage.name: stage for stage in (
           writes={"scores_dev": "eval/dev_{seed}.json",
                   "scores_test": "eval/test_{seed}.json",
                   "predictions_dev": "eval/predictions_dev_{seed}.json",
-                  "predictions_test": "eval/predictions_test_{seed}.json"},
+                  "predictions_test": "eval/predictions_test_{seed}.json",
+                  "report_json": "report.json", "report_txt": "report.txt"},
           params=("final_predictor", "strict_seen", "instruction", "m", "mixed_policy"),
           params_when={("final_predictor", "mock"): ("mock.final_drop_prob",),
                        ("final_predictor", "process"): ("final_predictor_argv",),
                        ("final_predictor", "http"): ("final_predictor_url",),
                        ("final_predictor", "file"): ("predictions_dev", "predictions_test")},
           sources=_evaluate_sources, loads=("dev", "test"),
-          finish="_write_report", finish_writes=("report.json", "report.txt")),
+          finish="_write_report"),
 )}
 
 STAGE_ORDER = tuple(STAGES)
@@ -450,48 +451,49 @@ class PipelineRunner:
         return digests
 
     def _fresh_manifest(self, stage: str, consumer: str) -> StageManifest:
-        """The manifest of ``stage`` if it is fresh, judged once per run: it
-        says ``ok``, its params and sources match the config, and its recorded
-        run-file inputs are what its fresh upstream stages recorded as outputs.
-        """
+        """The manifest of ``stage`` if it is fresh by the rule that skips a
+        stage, judged once per run; else a :class:`MissingStageError` for ``consumer``."""
         fresh = self._run.fresh
-        if stage in fresh:
-            return fresh[stage]
-        manifest = self.read_manifest(stage)
-        if manifest is None or manifest.status != "ok":
-            raise MissingStageError(f"missing stage: {stage} (run it before {consumer!r})")
-        expected: dict[str, str | None] = {**self._config_inputs(stage)}
-        for rel, dep in STAGES[stage].upstream_files(self.config.seeds).items():
-            expected[rel] = self._fresh_manifest(dep, consumer).outputs.get(rel)
-        changed = [key for key in sorted(expected.keys() | manifest.inputs.keys())
-                   if expected.get(key) != manifest.inputs.get(key)]
-        if changed:
-            raise _stale(stage, changed, consumer)
-        fresh[stage] = manifest
-        return manifest
+        if stage not in fresh:
+            manifest = self.read_manifest(stage)
+            if manifest is None or manifest.status != "ok":
+                raise MissingStageError(f"missing stage: {stage} (run it before {consumer!r})")
+            self._check_deps(stage, consumer)
+            if changed := self._changed(stage, self._compute_inputs(stage), manifest):
+                raise _stale(stage, changed, consumer)
+            fresh[stage] = manifest
+        return fresh[stage]
 
-    def _check_deps(self, stage: str) -> None:
+    def _check_deps(self, stage: str, consumer: str | None = None) -> None:
         for dep in STAGES[stage].deps:
-            self._fresh_manifest(dep, stage)
+            self._fresh_manifest(dep, consumer or stage)
 
     def _compute_inputs(self, stage: str) -> dict[str, str]:
-        """The input digests ``stage`` is about to record; each run file must
-        hold what the upstream stage that wrote it recorded as an output."""
+        """The input digests ``stage`` would record now; a run file it reads
+        takes the digest its writer, judged fresh, recorded for it."""
         inputs = self._config_inputs(stage)
         for rel, dep in STAGES[stage].upstream_files(self.config.seeds).items():
-            digest = self._digest(self.path(rel))
-            if digest is None or digest != self._run.fresh[dep].outputs.get(rel):
-                raise _stale(dep, [rel], stage)
-            inputs[rel] = digest
+            inputs[rel] = self._run.fresh[dep].outputs[rel]
         return inputs
 
-    def _outputs_intact(self, manifest: StageManifest) -> bool:
-        return all(self._digest(self.path(rel)) == digest
-                   for rel, digest in manifest.outputs.items())
+    def _changed(self, stage: str, inputs: dict[str, str], manifest: StageManifest) -> list[str]:
+        """What changed since ``stage`` recorded ``manifest``, its upstream
+        stages judged fresh: the input keys whose digest differs from
+        ``inputs`` or, when none does, the outputs that are not intact."""
+        changed = [key for key in sorted(inputs.keys() | manifest.inputs.keys())
+                   if inputs.get(key) != manifest.inputs.get(key)]
+        return changed or self._outputs_intact(stage, manifest)
+
+    def _outputs_intact(self, stage: str, manifest: StageManifest) -> list[str]:
+        """The outputs ``stage`` declares that are not intact: ``manifest``
+        does not record them, or their file no longer has the recorded digest."""
+        recorded = manifest.outputs
+        return [rel for rel in STAGES[stage].output_files(self.config.seeds)
+                if rel not in recorded or self._digest(self.path(rel)) != recorded[rel]]
 
     def _write(self, stage: str, seed: int, key: str, write: Callable[[Path], str]) -> Path:
         """Write output ``key`` of ``stage`` with ``write``; keep the digest it returns."""
-        path = self.path(STAGES[stage].outputs(seed)[key])
+        path = self.path(STAGES[stage].writes[key].format(seed=seed))
         self._run.digests[path] = write(path)
         return path
 
@@ -518,13 +520,15 @@ class PipelineRunner:
         self._check_deps(stage)
         inputs = run.inputs = self._compute_inputs(stage)
         manifest = self.read_manifest(stage)
-        if (
-            not force
-            and manifest is not None
-            and manifest.status == "ok"
-            and manifest.inputs == inputs
-            and self._outputs_intact(manifest)
-        ):
+        if manifest is None:
+            reason = "no manifest"
+        elif manifest.status != "ok":
+            reason = "failed"
+        elif force:
+            reason = "forced"
+        elif changed := self._changed(stage, inputs, manifest):
+            reason = "changed: " + ", ".join(changed)
+        else:
             logger.info("stage %s: up to date, skipping", stage)
             run.fresh[stage] = manifest
             return StageOutcome(stage=stage, status="skipped")
@@ -540,17 +544,13 @@ class PipelineRunner:
             run.config_written = True
         started = _now()
         run_seed = getattr(self, "_stage_" + stage.replace("-", "_"))
-        outputs: dict[str, str] = {}
         thresholds = gc.get_threshold()
         gc.set_threshold(max(STAGE_GC_GEN0, thresholds[0]), *thresholds[1:])
         try:
-            results: dict[int, Any] = {}
-            for seed in self.config.seeds:
-                results[seed] = run_seed(seed)
-                outputs.update(self._digest_written(stage, entry.outputs(seed).values()))
+            results = {seed: run_seed(seed) for seed in self.config.seeds}
             if entry.finish:
                 getattr(self, entry.finish)(results)
-                outputs.update(self._digest_written(stage, entry.finish_writes))
+            outputs = self._digest_written(stage, entry.output_files(self.config.seeds))
         except Exception as exc:
             self._write_manifest(StageManifest(
                 stage=stage, status="failed", inputs=inputs, outputs={},
@@ -570,7 +570,7 @@ class PipelineRunner:
         )
         self._write_manifest(manifest)
         run.fresh[stage] = manifest
-        logger.info("stage %s: done (%d output files)", stage, len(outputs))
+        logger.info("stage %s: ran (%s), %d output files", stage, reason, len(outputs))
         return StageOutcome(stage=stage, status="ran")
 
     def run(self, stages: Sequence[str] | None = None, force: bool = False) -> list[StageOutcome]:

@@ -13,7 +13,7 @@ import logging
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
 from .docio import load_json, write_json_atomic
 from .model import Corpus, Document, RelationRegistry
@@ -76,13 +76,6 @@ def sample_unseen(registry: RelationRegistry, m: int, seed: int) -> SplitSpec:
     unseen = rng.sample(ids, m)
     return SplitSpec(seed=seed, m=m, unseen=frozenset(unseen),
                      seen=frozenset(ids) - frozenset(unseen))
-
-
-def make_replicates(registry: RelationRegistry, m: int, seeds: Sequence[int]) -> list[SplitSpec]:
-    """One split per seed; seeds must be distinct so replicates are too."""
-    if len(set(seeds)) != len(seeds):
-        raise SplitError(f"replicate seeds must be distinct, got {list(seeds)}")
-    return [sample_unseen(registry, m, seed) for seed in seeds]
 
 
 def warn_if_empty(spec: SplitSpec, **views: Corpus) -> None:

@@ -1,9 +1,10 @@
 """Micro benchmarks for the mock world, corpus validation, loading a DocRED
 source, the split and pseudo-label stages, mention grounding, relabeling,
-bulk JSON writes (corpora and generation records), finetune-data assembly and
-hashing a run directory's files.  The two stages also report their
-tracemalloc peak and the bytes of the files they write in the benchmark's
-``extra_info`` (``--benchmark-json``) and on standard output (``-s``).
+bulk JSON writes (corpora and generation records), finetune-data assembly,
+hashing a run directory's files, and a bare evaluate that finds every stage
+fresh.  The split and pseudo-label stages also report their tracemalloc
+peak and the bytes of the files they write in the benchmark's ``extra_info``
+(``--benchmark-json``) and on standard output (``-s``).
 
 Each layer runs at two sizes; the larger one has four times the documents
 and four times the world facts, so near-linear code takes about four times
@@ -173,6 +174,29 @@ def pseudo_config(request, tmp_path_factory):
 @pytest.mark.benchmark(group="pseudo_label")
 def test_pseudo_label_stage(benchmark, pseudo_config):
     bench_stage(benchmark, *pseudo_config, "pseudo-label", "pseudo")
+
+
+@pytest.fixture(scope="module", params=list(SIZES))
+def finished_config(request, tmp_path_factory):
+    """A one-seed mock run with every stage done, over the world facts and
+    documents per unseen relation of a size."""
+    facts_per_relation, docs_per_relation = SIZES[request.param]
+    work = tmp_path_factory.mktemp("finished")
+    write_demo_inputs(work, n_relations=3 * UNSEEN)
+    data = json.loads(strip_json_comments((work / "config.json").read_text(encoding="utf-8")))
+    data.update(m=UNSEEN, seeds=[1], docs_per_relation=docs_per_relation,
+                mock={"facts_per_relation": facts_per_relation})
+    config = config_from_dict(data, base_dir=work)
+    PipelineRunner(config).run()
+    return config
+
+
+@pytest.mark.benchmark(group="single_stage_freshness")
+def test_single_stage_freshness(benchmark, finished_config):
+    """A bare evaluate on a finished run: it judges every upstream stage and
+    skips, so the time is the freshness verdict, hashing included."""
+    outcomes = benchmark(PipelineRunner(finished_config).run, ["evaluate"])
+    assert [(o.stage, o.status) for o in outcomes] == [("evaluate", "skipped")]
 
 
 @pytest.mark.benchmark(group="mention_grounding")

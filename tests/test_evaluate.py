@@ -7,9 +7,7 @@ import random
 import pytest
 
 from docrte.evaluate import (
-    EvalResult,
     EvaluationError,
-    aggregate,
     aggregate_scores,
     evaluate_re,
     evaluate_rte,
@@ -284,11 +282,6 @@ class TestAggregate:
     def test_no_replicates_is_an_error(self):
         with pytest.raises(EvaluationError):
             aggregate_scores([])
-
-    def test_aggregate_scales_f1_to_percent(self):
-        results = [EvalResult(0, 0, f1, 0, 0, 0) for f1 in (0.10, 0.13, 0.16)]
-        agg = aggregate(results)
-        assert agg.render() == "13.0 ± 3.0"
 
 
 class TestPredictionsFile:

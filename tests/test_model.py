@@ -63,7 +63,7 @@ class TestRelationRegistry:
         assert reg.ids() == ["P1", "P2"]
         assert reg.get("P2").name == "beta"
         assert reg.name_of("P1") == "alpha"
-        assert reg.by_name("ALPHA").id == "P1"
+        assert reg.resolve("ALPHA").id == "P1"
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(RegistryError):
@@ -71,7 +71,7 @@ class TestRelationRegistry:
 
     def test_duplicate_name_first_wins(self):
         reg = make_registry(("P1", "alpha"), ("P2", "Alpha"))
-        assert reg.by_name("alpha").id == "P1"
+        assert reg.resolve("alpha").id == "P1"
 
     def test_resolve_tries_id_then_name(self):
         reg = make_registry(("P1", "alpha"), ("P2", "beta"))
@@ -136,7 +136,7 @@ class TestDocumentHelpers:
             labels=[],
         )
         assert doc.key_to_index() == {"un": 0}
-        assert doc.entity_keys() == {"un"}
+        assert {e.key for e in doc.entities} == {"un"}
 
 
 class TestLeanDocuments:

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import gc
 import json
+import logging
+import re
 import subprocess
 import sys
 from dataclasses import fields, is_dataclass, replace
@@ -375,13 +377,52 @@ class TestResume:
             chat_backend_factory=scripted)
         assert ran(outcomes) == ["generate"]
 
-    def test_tampered_upstream_output_refuses_single_stage(self, workspace):
+    @pytest.mark.parametrize("rel, writer", [
+        ("generate/synthetic_3.json", "generate"),
+        ("denoise/kg_3.json", "denoise"),  # read by no stage
+        ("denoise/denoised_3.json", "denoise"),
+    ], ids=["synthetic", "kg", "denoised"])
+    def test_tampered_upstream_output_refuses_single_stage(self, workspace, rel, writer):
         runner = make_runner(workspace)
         runner.run()
-        target = runner.run_dir / "denoise" / "denoised_3.json"
+        target = runner.run_dir / rel
         target.write_text(target.read_text() + " ", encoding="utf-8")
-        with pytest.raises(MissingStageError, match="stale stage: denoise"):
+        message = f"stale stage: {writer} (changed since it ran: {rel}; rerun it before 'evaluate')"
+        with pytest.raises(MissingStageError, match=re.escape(message)):
             make_runner(workspace).run(["evaluate"])
+        result = CliRunner().invoke(main, ["--config", str(workspace), "evaluate"])
+        assert result.exit_code == 2
+        assert message in result.stderr
+
+    def test_upstream_manifest_without_an_output_read_refuses_single_stage(self, workspace):
+        runner = make_runner(workspace)
+        runner.run()
+        path = runner.manifest_path("denoise")
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        del manifest["outputs"]["denoise/denoised_3.json"]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(MissingStageError, match=re.escape(
+                "stale stage: denoise (changed since it ran: denoise/denoised_3.json;")):
+            make_runner(workspace).run(["evaluate"])
+
+    def test_log_names_why_a_stage_ran(self, workspace, caplog):
+        caplog.set_level(logging.INFO, logger="docrte.pipeline")
+        runner = make_runner(workspace)
+        runner.run(["split"])
+        runner.run(["split"], force=True)
+        (runner.run_dir / "split" / "dev_5.json").unlink()
+        runner.run(["split"])
+        manifest = json.loads(runner.manifest_path("split").read_text(encoding="utf-8"))
+        runner.manifest_path("split").write_text(json.dumps(dict(manifest, status="failed")),
+                                                 encoding="utf-8")
+        runner.run(["split"])
+        workspace.write_text(json.dumps(dict(PIPELINE_CONFIG, m=3)), encoding="utf-8")
+        make_runner(workspace).run(["split"])
+        make_runner(workspace).run(["split"])
+        whys = ("no manifest", "forced", "changed: split/dev_5.json", "failed", "changed: params")
+        assert [r.getMessage() for r in caplog.records if r.name == "docrte.pipeline"] == [
+            *(f"stage split: ran ({why}), 6 output files" for why in whys),
+            "stage split: up to date, skipping"]
 
     def test_unwritten_output_records_failed_manifest(self, workspace):
         class SkipsSeed5(PipelineRunner):
@@ -978,6 +1019,17 @@ class TestRunDigests:
         runner.run()
         assert hashed and len(hashed) == len(set(hashed))
         assert not [p for p in hashed if p.is_relative_to(runner.run_dir)]
+
+    def test_single_stage_hashes_every_upstream_output_once(self, workspace, hashed):
+        runner = make_runner(workspace)
+        runner.run()
+        hashed.clear()
+        assert outcome_map(runner.run(["evaluate"])) == {"evaluate": "skipped"}
+        # evaluate's own outputs and those of the stages it reads from, transitively
+        outputs = {runner.path(rel)
+                   for stage in ("split", "generate", "pseudo-label", "denoise", "evaluate")
+                   for rel in runner.read_manifest(stage).outputs}
+        assert sorted(p for p in hashed if p.is_relative_to(runner.run_dir)) == sorted(outputs)
 
     def test_noop_run_hashes_no_path_twice(self, workspace, hashed):
         runner = make_runner(workspace)

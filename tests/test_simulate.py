@@ -183,7 +183,7 @@ class TestWorldDocuments:
                                  facts_per_doc=3, seed=5)
         world_facts = set(small_world.facts)
         for doc in corpus.documents:
-            present = doc.entity_keys()
+            present = {e.key for e in doc.entities}
             expected = {
                 f for f in world_facts
                 if f.head_key in present and f.tail_key in present

@@ -8,7 +8,6 @@ from docrte.split import (
     SplitSpec,
     apply_split,
     load_split_spec,
-    make_replicates,
     sample_unseen,
     save_split_spec,
 )
@@ -41,12 +40,6 @@ class TestSampling:
     def test_m_bounds_enforced(self, registry96, m):
         with pytest.raises(SplitError):
             sample_unseen(registry96, m, seed=1)
-
-    def test_replicates_require_distinct_seeds(self, registry96):
-        with pytest.raises(SplitError):
-            make_replicates(registry96, 5, [1, 2, 1])
-        specs = make_replicates(registry96, 5, [1, 2, 3])
-        assert [s.seed for s in specs] == [1, 2, 3]
 
 
 class TestSpecPersistence:
