@@ -13,6 +13,7 @@ import click
 
 from .config import CHAT_BACKENDS, ConfigError, PipelineConfig, load_config
 from .docio import ParseError
+from .evaluate import EvaluationError
 from .model import ValidationError
 from .pipeline import PipelineRunner, StageError
 from .split import SplitError
@@ -43,7 +44,7 @@ def _execute(ctx: click.Context, stages: list[str] | None, force: bool) -> Pipel
         outcomes = runner.run(stages, force=force)
     except StageError as exc:  # MissingStageError too
         _fail(str(exc), 2)
-    except (ParseError, ValidationError, ConfigError, SplitError) as exc:
+    except (ParseError, ValidationError, ConfigError, SplitError, EvaluationError) as exc:
         _fail(str(exc), 1)
     for outcome in outcomes:
         note = "" if outcome.status == "ran" else " (up to date)"

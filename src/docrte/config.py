@@ -168,10 +168,8 @@ class PipelineConfig:
                 raise ConfigError(f"{role}=process requires {role}_argv")
             if kind == "http" and not getattr(self, f"{role}_url"):
                 raise ConfigError(f"{role}=http requires {role}_url")
-        if self.final_predictor == "file" and not (self.predictions_dev or self.predictions_test):
-            raise ConfigError(
-                "final_predictor=file requires predictions_dev and/or predictions_test"
-            )
+        if self.final_predictor == "file" and not (self.predictions_dev and self.predictions_test):
+            raise ConfigError("final_predictor=file requires predictions_dev and predictions_test")
         for name in ("group_size", "parallelism"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")

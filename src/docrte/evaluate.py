@@ -228,6 +228,8 @@ def load_predictions(path: Path | str,
         raise EvaluationError(f"{path}: predictions file must be a JSON object")
     out: dict[str, list[tuple[str, str, str]]] = {}
     for doc_id, rows in data.items():
+        if not isinstance(rows, list):
+            raise EvaluationError(f"{path}: bad prediction row for {doc_id!r}: {rows!r}")
         preds = []
         for row in rows:
             try:

@@ -1,20 +1,20 @@
 """Stage orchestration: run directory, manifests, resume, and reporting.
 
-The stages are one table, :data:`STAGES`.  Each stage runs once per seed,
-reading files that earlier stages wrote under the run directory, and records
-a manifest with content digests of its inputs and outputs.  One rule judges
-every stage, the one about to run and each one upstream of it: a stage is
-fresh when its manifest says ``ok``, the inputs it recorded (params, sources,
-run files read) equal what it would record now, it records every output it
-declares with the digest the file still has, and each stage it reads from is
-fresh.  A fresh stage is skipped, so an interrupted pipeline resumes without
-recomputing or re-issuing chat requests.  A stage runs only when every
-upstream stage is fresh, else :class:`MissingStageError` names the stale one
-(running every stage reruns it first), so a single-stage command hashes every
-upstream output once, generation records included.  Each artifact write is
-atomic (temp file, then rename): a crash leaves no half-written file for a
-resume to take as complete, and the first stage a run executes removes the
-temp files a killed run left, under the run-directory lock.
+The stages are one table, :data:`STAGES`.  A stage body runs once, over its
+seeds, reading files that earlier stages wrote under the run directory, and
+the stage records a manifest with content digests of its inputs and outputs.
+One rule judges every stage, the one about to run and each one upstream of it:
+a stage is fresh when its manifest says ``ok``, the inputs it recorded
+(params, sources, run files read) equal what it would record now, it records
+every output it declares with the digest the file still has, and each stage it
+reads from is fresh.  A fresh stage is skipped, so an interrupted pipeline
+resumes without recomputing or re-issuing chat requests.  A stage runs only
+when every upstream stage is fresh, else :class:`MissingStageError` names the
+stale one (running every stage reruns it first), so a single-stage command
+hashes every upstream output once, generation records included.  Each artifact
+write is atomic (temp file, then rename): a crash leaves no half-written file
+for a resume to take as complete, and the first stage a run executes removes
+the temp files a killed run left, under the run-directory lock.
 
 Within one :meth:`PipelineRunner.run`, a corpus is handed to the later
 stages that load it (``Stage.loads``) without being read back: split's dev and
@@ -66,7 +66,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
-from functools import partial, reduce
+from functools import reduce
 from itertools import product
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -90,6 +90,7 @@ from .docio import (
 )
 from .evaluate import (
     EvalResult,
+    EvaluationError,
     build_report,
     evaluate_re,
     evaluate_rte,
@@ -168,9 +169,8 @@ def _evaluate_sources(cfg: PipelineConfig) -> dict[str, Path]:
     files = _registry_source(cfg)
     if cfg.final_predictor == "file":
         for name, template in (("dev", cfg.predictions_dev), ("test", cfg.predictions_test)):
-            if template:
-                files.update({f"predictions:{name}:{seed}": _predictions_path(template, seed)
-                              for seed in cfg.seeds})
+            files.update({f"predictions:{name}:{seed}": _predictions_path(template, seed)
+                          for seed in cfg.seeds})
     return files
 
 
@@ -185,8 +185,9 @@ class Stage:
     ``params_when`` adds more while a config field has a given value.
     ``sources`` gives the config-named files read.  ``loads`` names the read
     keys that are corpora the runner may hand over in memory from an earlier
-    stage of the same run.  The runner calls ``_stage_<name>(seed)`` for
-    every seed, then the ``finish`` method, if any, with every seed's result.
+    stage of the same run.  The runner calls ``_stage_<name>(seeds)`` once,
+    with every seed; the body loops over the seeds it is given and drops each
+    seed's results before the next seed's are built.
     """
 
     name: str
@@ -196,7 +197,6 @@ class Stage:
     params_when: Mapping[tuple[str, str], tuple[str, ...]] = field(default_factory=dict)
     sources: Callable[[PipelineConfig], dict[str, Path]] = _registry_source
     loads: tuple[str, ...] = ()
-    finish: str | None = None
 
     def param_values(self, cfg: PipelineConfig) -> dict[str, Any]:
         names = list(self.params)
@@ -268,8 +268,7 @@ STAGES: dict[str, Stage] = {stage.name: stage for stage in (
                        ("final_predictor", "process"): ("final_predictor_argv",),
                        ("final_predictor", "http"): ("final_predictor_url",),
                        ("final_predictor", "file"): ("predictions_dev", "predictions_test")},
-          sources=_evaluate_sources, loads=("dev", "test"),
-          finish="_write_report"),
+          sources=_evaluate_sources, loads=("dev", "test")),
 )}
 
 STAGE_ORDER = tuple(STAGES)
@@ -306,8 +305,6 @@ class _Run:
     cassette: CassetteBackend | None = None  # generate's, shared by its seeds
     registry: RelationRegistry | None = None
     held: dict[Path, _Held] = field(default_factory=dict)  # by the file each was written to
-    # the running stage's views of the DocRED sources, by seed, until its seed takes them
-    views: dict[int, list[Corpus]] = field(default_factory=dict)
 
 
 @dataclass
@@ -491,7 +488,7 @@ class PipelineRunner:
         return [rel for rel in STAGES[stage].output_files(self.config.seeds)
                 if rel not in recorded or self._digest(self.path(rel)) != recorded[rel]]
 
-    def _write(self, stage: str, seed: int, key: str, write: Callable[[Path], str]) -> Path:
+    def _write(self, stage: str, seed: int | None, key: str, write: Callable[[Path], str]) -> Path:
         """Write output ``key`` of ``stage`` with ``write``; keep the digest it returns."""
         path = self.path(STAGES[stage].writes[key].format(seed=seed))
         self._run.digests[path] = write(path)
@@ -516,7 +513,6 @@ class PipelineRunner:
         if run is None:  # a bare call is a run of this one stage
             with run_lock(self.run_dir), self._running((stage,)):
                 return self.run_stage(stage, force)
-        entry = STAGES[stage]
         self._check_deps(stage)
         inputs = run.inputs = self._compute_inputs(stage)
         manifest = self.read_manifest(stage)
@@ -543,22 +539,21 @@ class PipelineRunner:
             write_json_atomic(self.path("format.json"), {"version": FORMAT_VERSION})
             run.config_written = True
         started = _now()
-        run_seed = getattr(self, "_stage_" + stage.replace("-", "_"))
+        body = getattr(self, "_stage_" + stage.replace("-", "_"))
         thresholds = gc.get_threshold()
         gc.set_threshold(max(STAGE_GC_GEN0, thresholds[0]), *thresholds[1:])
         try:
-            results = {seed: run_seed(seed) for seed in self.config.seeds}
-            if entry.finish:
-                getattr(self, entry.finish)(results)
-            outputs = self._digest_written(stage, entry.output_files(self.config.seeds))
+            body(self.config.seeds)
+            outputs = self._digest_written(stage, STAGES[stage].output_files(self.config.seeds))
         except Exception as exc:
             self._write_manifest(StageManifest(
                 stage=stage, status="failed", inputs=inputs, outputs={},
                 started_at=started, finished_at=_now(), error=str(exc),
             ))
-            # Input-format, validation and split-parameter problems keep their
-            # type so the CLI can report them as bad input, not a pipeline fault.
-            if isinstance(exc, (StageError, ParseError, ValidationError, SplitError)):
+            # Input-format, validation, split-parameter and predictions-file problems
+            # keep their type so the CLI can report them as bad input, not a pipeline fault.
+            if isinstance(exc, (StageError, ParseError, ValidationError, SplitError,
+                                EvaluationError)):
                 raise
             raise StageError(f"stage {stage} failed: {exc}") from exc
         finally:
@@ -693,53 +688,49 @@ class PipelineRunner:
 
     # -- stages ---------------------------------------------------------------
 
-    def _stage_split(self, seed: int) -> None:
-        spec_of = partial(sample_unseen, self.registry, self.config.m)
-        spec = spec_of(seed)
+    def _stage_split(self, seeds: Sequence[int]) -> None:
+        specs = [sample_unseen(self.registry, self.config.m, seed) for seed in seeds]
         # the train rows are checked; finetune-data builds the training views
-        dev, test = self._views(seed, spec_of, ("dev", "test"), checked=("train",))
-        warn_if_empty(spec, eval_dev=dev, eval_test=test)
-        self._write("split", seed, "spec", lambda path: save_split_spec(spec, path))
-        self._save_corpus("split", seed, "dev", dev)
-        self._save_corpus("split", seed, "test", test)
+        views = self._views(specs, ("dev", "test"), checked=("train",))
+        for spec in specs:
+            dev, test = views.pop(spec.seed)
+            warn_if_empty(spec, eval_dev=dev, eval_test=test)
+            self._write("split", spec.seed, "spec", lambda path: save_split_spec(spec, path))
+            self._save_corpus("split", spec.seed, "dev", dev)
+            self._save_corpus("split", spec.seed, "test", test)
 
-    def _views(self, seed: int, spec_of: Callable[[int], SplitSpec], keys: Sequence[str],
-               checked: Sequence[str] = ()) -> list[Corpus]:
+    def _views(self, specs: Sequence[SplitSpec], keys: Sequence[str],
+               checked: Sequence[str] = ()) -> dict[int, list[Corpus]]:
         """The views ``keys`` (of the sources in config fields ``<key>_docs``)
-        of ``seed``.  The first seed's call builds every seed's, each seed's
-        spec given by ``spec_of``, reading each source file once: each document
-        goes into every view as it is read.  The sources of ``checked`` are
-        read and checked too, for no view."""
+        of each of ``specs``, by seed, reading each source file once: each
+        document goes into every view as it is read.  The sources of
+        ``checked`` are read and checked too, for no view."""
         run, cfg, registry = self._run, self.config, self.registry
-        if seed not in run.views:
-            specs = [spec_of(s) for s in cfg.seeds]
-            paths = {key: Path(getattr(cfg, f"{key}_docs")) for key in (*checked, *keys)}
-            views: dict[tuple[int, str], list[Document]] = {
-                (spec.seed, key): [] for spec in specs for key in keys}
-            for path in dict.fromkeys(paths.values()):
-                source = next(key for key in paths if paths[key] == path)
-                named = [key for key in keys if paths[key] == path]
-                for doc in iter_docred(path, registry, run.inputs[f"config:{source}_docs"]):
-                    for key, spec in product(named, specs):
-                        view = view_document(doc, spec,
-                                             cfg.mixed_policy if key == "train" else None)
-                        if view is not None:
-                            views[spec.seed, key].append(view)
-            run.views = {spec.seed: [Corpus(views[spec.seed, key], "human", registry)
-                                     for key in keys] for spec in specs}
-        return run.views.pop(seed)
+        paths = {key: Path(getattr(cfg, f"{key}_docs")) for key in (*checked, *keys)}
+        views: dict[tuple[int, str], list[Document]] = {
+            (spec.seed, key): [] for spec in specs for key in keys}
+        for path in dict.fromkeys(paths.values()):
+            source = next(key for key in paths if paths[key] == path)
+            named = [key for key in keys if paths[key] == path]
+            for doc in iter_docred(path, registry, run.inputs[f"config:{source}_docs"]):
+                for key, spec in product(named, specs):
+                    view = view_document(doc, spec, cfg.mixed_policy if key == "train" else None)
+                    if view is not None:
+                        views[spec.seed, key].append(view)
+        return {spec.seed: [Corpus(views[spec.seed, key], "human", registry) for key in keys]
+                for spec in specs}
 
-    def _stage_generate(self, seed: int) -> None:
+    def _stage_generate(self, seeds: Sequence[int]) -> None:
         cfg = self.config
-        spec = self._spec("generate", seed)
-        backend = self.chat_backend_factory(self, seed, spec)
-        corpus, records = generate_corpus(
-            backend, sorted(spec.unseen), self.registry, cfg.chain(),
-            prompts=PromptLibrary(cfg.templates_dir), parallelism=cfg.parallelism,
-        )
-        self._save_corpus("generate", seed, "synthetic", corpus)
-        self._write("generate", seed, "records",
-                    lambda path: write_chunks_atomic(path, records_chunks(records)))
+        for seed in seeds:
+            spec = self._spec("generate", seed)
+            corpus, records = generate_corpus(
+                self.chat_backend_factory(self, seed, spec), sorted(spec.unseen), self.registry,
+                cfg.chain(), prompts=PromptLibrary(cfg.templates_dir), parallelism=cfg.parallelism)
+            self._save_corpus("generate", seed, "synthetic", corpus)
+            self._write("generate", seed, "records",
+                        lambda path: write_chunks_atomic(path, records_chunks(records)))
+            del corpus, records  # before the next seed's chains run
 
     def _write_samples(self, stage: str, seed: int, corpus: Corpus,
                        groups: Sequence[RelationGroup]) -> None:
@@ -749,47 +740,49 @@ class PipelineRunner:
         samples = assemble_finetune_dataset(corpus, groups, policy, self.registry)
         self._write(stage, seed, "samples", lambda path: write_finetune_file(samples, path))
 
-    def _stage_finetune_data(self, seed: int) -> None:
-        spec = self._spec("finetune-data", seed)
-        groups = partition_relations(sorted(spec.seen), self.config.group_size, seed=seed)
-        [train] = self._views(seed, partial(self._spec, "finetune-data"), ("train",))
-        self._write_samples("finetune-data", seed, train, groups)
+    def _stage_finetune_data(self, seeds: Sequence[int]) -> None:
+        specs = [self._spec("finetune-data", seed) for seed in seeds]
+        views = self._views(specs, ("train",))
+        for spec in specs:
+            groups = partition_relations(sorted(spec.seen), self.config.group_size, seed=spec.seed)
+            self._write_samples("finetune-data", spec.seed, views.pop(spec.seed)[0], groups)
 
-    def _stage_pseudo_label(self, seed: int) -> None:
+    def _stage_pseudo_label(self, seeds: Sequence[int]) -> None:
         cfg = self.config
-        spec = self._spec("pseudo-label", seed)
-        synthetic = self._load_corpus("pseudo-label", seed, "synthetic")
-        predictor = self.predictor_factory(self, seed, spec)
-        labels = infer_pseudo_labels(
-            predictor, synthetic, sorted(spec.unseen), cfg.instruction, self.registry,
-        )
-        self._write("pseudo-label", seed, "pseudo",
-                    lambda path: write_json_atomic(path, labels.to_json(), compact=True))
+        for seed in seeds:
+            spec = self._spec("pseudo-label", seed)
+            synthetic = self._load_corpus("pseudo-label", seed, "synthetic")
+            labels = infer_pseudo_labels(self.predictor_factory(self, seed, spec), synthetic,
+                                         sorted(spec.unseen), cfg.instruction, self.registry)
+            self._write("pseudo-label", seed, "pseudo",
+                        lambda path: write_json_atomic(path, labels.to_json(), compact=True))
+            del synthetic, labels
 
-    def _stage_denoise(self, seed: int) -> None:
-        spec = self._spec("denoise", seed)
-        synthetic = self._load_corpus("denoise", seed, "synthetic")
-        pseudo = PseudoLabelSet.from_json(load_json(*self._input("denoise", seed, "pseudo")))
-        denoised, report, rows = denoise(synthetic, pseudo.fact_sets(), sorted(spec.unseen))
-        self._save_corpus("denoise", seed, "denoised", denoised)
-        self._write("denoise", seed, "kg",
-                    lambda path: write_json_atomic(path, rows, compact=True))
-        self._write("denoise", seed, "report",
-                    lambda path: write_json_atomic(path, report.to_json()))
+    def _stage_denoise(self, seeds: Sequence[int]) -> None:
+        for seed in seeds:
+            spec = self._spec("denoise", seed)
+            synthetic = self._load_corpus("denoise", seed, "synthetic")
+            pseudo = PseudoLabelSet.from_json(load_json(*self._input("denoise", seed, "pseudo")))
+            denoised, report, rows = denoise(synthetic, pseudo.fact_sets(), sorted(spec.unseen))
+            self._save_corpus("denoise", seed, "denoised", denoised)
+            self._write("denoise", seed, "kg",
+                        lambda path: write_json_atomic(path, rows, compact=True))
+            self._write("denoise", seed, "report",
+                        lambda path: write_json_atomic(path, report.to_json()))
+            del synthetic, pseudo, denoised, report, rows
 
-    def _stage_finetune_data_denoised(self, seed: int) -> None:
-        spec = self._spec("finetune-data-denoised", seed)
-        groups = [RelationGroup(index=0, relations=tuple(sorted(spec.unseen)))]
-        self._write_samples("finetune-data-denoised", seed, self._load_corpus(
-            "finetune-data-denoised", seed, "denoised"), groups)
+    def _stage_finetune_data_denoised(self, seeds: Sequence[int]) -> None:
+        for seed in seeds:
+            spec = self._spec("finetune-data-denoised", seed)
+            groups = [RelationGroup(index=0, relations=tuple(sorted(spec.unseen)))]
+            self._write_samples("finetune-data-denoised", seed, self._load_corpus(
+                "finetune-data-denoised", seed, "denoised"), groups)
 
     def _final_predictions(self, seed: int, spec: SplitSpec, gold: Corpus,
                            split_name: str) -> dict[str, list[tuple[str, str, str]]]:
         cfg = self.config
         if cfg.final_predictor == "file":
             template = cfg.predictions_dev if split_name == "dev" else cfg.predictions_test
-            if not template:
-                raise StageError(f"no predictions file configured for the {split_name} split")
             path = _predictions_path(template, seed)
             raw = load_predictions(path, self._run.inputs[f"predictions:{split_name}:{seed}"])
             resolved: dict[str, list[tuple[str, str, str]]] = {}
@@ -798,7 +791,7 @@ class PipelineRunner:
                 for head, tail, token in triples:
                     rel = self.registry.resolve(token)
                     if rel is None:
-                        raise StageError(
+                        raise EvaluationError(
                             f"{path}: unknown relation {token!r} in predictions "
                             f"for document {doc_id}"
                         )
@@ -810,29 +803,29 @@ class PipelineRunner:
                                      cfg.instruction, self.registry)
         return {doc_id: triplets or [] for doc_id, triplets in predictions.items()}
 
-    def _stage_evaluate(self, seed: int) -> dict[str, dict[str, EvalResult]]:
+    def _stage_evaluate(self, seeds: Sequence[int]) -> None:
         cfg = self.config
-        spec = self._spec("evaluate", seed)
-        results: dict[str, dict[str, EvalResult]] = {}
-        for split_name in ("dev", "test"):
-            gold = self._load_corpus("evaluate", seed, split_name)
-            preds = self._final_predictions(seed, spec, gold, split_name)
-            self._write("evaluate", seed, f"predictions_{split_name}",
-                        lambda path: save_predictions(preds, path))
-            rte = evaluate_rte(preds, gold, spec.unseen, cfg.strict_seen)
-            re_preds = index_predictions(preds, gold)
-            re = evaluate_re(re_preds, gold, spec.unseen, cfg.strict_seen)
-            results[split_name] = {"rte": rte, "re": re}
-            scores = {"seed": seed, "split": split_name, "rte": asdict(rte), "re": asdict(re)}
-            self._write("evaluate", seed, f"scores_{split_name}",
-                        lambda path: write_json_atomic(path, scores))
-        return results
-
-    def _write_report(self, per_seed: Mapping[int, Mapping[str, Mapping[str, EvalResult]]]) -> None:
-        report = build_report(self.config, per_seed)
-        for name, text in (("report.json", canonical_dumps(report)),
-                           ("report.txt", render_report_text(report))):
-            self._run.digests[self.path(name)] = write_text_atomic(self.path(name), text)
+        per_seed: dict[int, dict[str, dict[str, EvalResult]]] = {}
+        for seed in seeds:
+            spec = self._spec("evaluate", seed)
+            results = per_seed[seed] = {}
+            for split_name in ("dev", "test"):
+                gold = self._load_corpus("evaluate", seed, split_name)
+                preds = self._final_predictions(seed, spec, gold, split_name)
+                self._write("evaluate", seed, f"predictions_{split_name}",
+                            lambda path: save_predictions(preds, path))
+                rte = evaluate_rte(preds, gold, spec.unseen, cfg.strict_seen)
+                re_preds = index_predictions(preds, gold)
+                re = evaluate_re(re_preds, gold, spec.unseen, cfg.strict_seen)
+                results[split_name] = {"rte": rte, "re": re}
+                scores = {"seed": seed, "split": split_name, "rte": asdict(rte), "re": asdict(re)}
+                self._write("evaluate", seed, f"scores_{split_name}",
+                            lambda path: write_json_atomic(path, scores))
+            del gold, preds, re_preds
+        report = build_report(cfg, per_seed)
+        for key, text in (("report_json", canonical_dumps(report)),
+                          ("report_txt", render_report_text(report))):
+            self._write("evaluate", None, key, lambda path: write_text_atomic(path, text))
 
     # convenience used by the CLI after run-all
     def report_text(self) -> str:

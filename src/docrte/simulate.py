@@ -28,7 +28,6 @@ from .model import (
     FactKey,
     RelationRegistry,
     RelationType,
-    validate_corpus,
 )
 from .model import TripletLabel
 from .pseudo import format_triplet_block
@@ -276,10 +275,7 @@ def world_documents(world: SimWorld, docs_per_relation: int, facts_per_doc: int,
     documents = [_doc_from_facts(world, doc_id, f"Dossier {doc_id}", chosen)
                  for doc_id, chosen in _draws(world, docs_per_relation, facts_per_doc, seed,
                                               id_prefix)]
-    corpus = Corpus(documents=documents, provenance="synthetic",
-                    registry=world.registry)
-    validate_corpus(corpus)
-    return corpus
+    return Corpus(documents=documents, provenance="synthetic", registry=world.registry)
 
 
 def world_truth(
@@ -344,10 +340,7 @@ def corrupt_labels(
             Document(doc_id=doc.doc_id, title=doc.title, sentences=sentences,
                      entities=entities, labels=labels)
         )
-    corrupted = Corpus(documents=new_docs, provenance=corpus.provenance,
-                       registry=corpus.registry)
-    validate_corpus(corrupted)
-    return corrupted
+    return Corpus(documents=new_docs, provenance=corpus.provenance, registry=corpus.registry)
 
 
 # ---------------------------------------------------------------------------

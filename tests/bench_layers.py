@@ -1,8 +1,8 @@
 """Micro benchmarks for the mock world, corpus validation, loading a DocRED
-source, the split and pseudo-label stages, mention grounding, relabeling,
-bulk JSON writes (corpora and generation records), finetune-data assembly,
-hashing a run directory's files, and a bare evaluate that finds every stage
-fresh.  The split and pseudo-label stages also report their tracemalloc
+source, the split, finetune-data, pseudo-label and evaluate stages, mention
+grounding, relabeling, bulk JSON writes (corpora and generation records),
+finetune-data assembly, hashing a run directory's files, and a bare evaluate
+that finds every stage fresh.  The four stages also report their tracemalloc
 peak and the bytes of the files they write in the benchmark's ``extra_info``
 (``--benchmark-json``) and on standard output (``-s``).
 
@@ -156,6 +156,13 @@ def test_split_stage(benchmark, split_config):
     bench_stage(benchmark, *split_config, "split", "split")
 
 
+@pytest.mark.benchmark(group="finetune_data")
+def test_finetune_data_stage(benchmark, split_config):
+    size, config = split_config
+    PipelineRunner(config).run(["split"])
+    bench_stage(benchmark, size, config, "finetune-data", "finetune")
+
+
 @pytest.fixture(scope="module", params=list(SIZES))
 def pseudo_config(request, tmp_path_factory):
     """A one-seed mock run with split and generate done, over the world facts
@@ -188,15 +195,20 @@ def finished_config(request, tmp_path_factory):
                 mock={"facts_per_relation": facts_per_relation})
     config = config_from_dict(data, base_dir=work)
     PipelineRunner(config).run()
-    return config
+    return request.param, config
 
 
 @pytest.mark.benchmark(group="single_stage_freshness")
 def test_single_stage_freshness(benchmark, finished_config):
     """A bare evaluate on a finished run: it judges every upstream stage and
     skips, so the time is the freshness verdict, hashing included."""
-    outcomes = benchmark(PipelineRunner(finished_config).run, ["evaluate"])
+    outcomes = benchmark(PipelineRunner(finished_config[1]).run, ["evaluate"])
     assert [(o.stage, o.status) for o in outcomes] == [("evaluate", "skipped")]
+
+
+@pytest.mark.benchmark(group="evaluate")
+def test_evaluate_stage(benchmark, finished_config):
+    bench_stage(benchmark, *finished_config, "evaluate", "eval")
 
 
 @pytest.mark.benchmark(group="mention_grounding")

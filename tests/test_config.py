@@ -98,6 +98,7 @@ class TestValidation:
         ({"mock": ["x"]}, "mock must be a JSON object"),
         ({"entity_types": 5}, "bad config value"),
         ({"temperature_other": "hot"}, "bad config value"),
+        ({"final_predictor": "file", "predictions_dev": "d.json"}, "predictions_test"),
     ])
     def test_invalid_values_rejected(self, patch, fragment):
         with pytest.raises(ConfigError, match=fragment):

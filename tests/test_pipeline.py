@@ -366,6 +366,19 @@ class TestResume:
             final_predictor_factory=extractor)
         assert ran(outcomes) == ["evaluate"]
 
+    def test_denoised_corpus_change_reruns_evaluate(self, workspace):
+        """Evaluate reads ``denoised_<seed>`` for freshness only: it scores an
+        extractor trained on the denoised data, so new denoised data reruns it."""
+        demo = load_config(workspace.parent / "config.json")
+        denoised = {}
+        for drop in (0.2, 0.6):
+            config = replace(demo, mock=replace(demo.mock, pseudo_drop_prob=drop))
+            outcomes = outcome_map(PipelineRunner(config).run())
+            denoised[drop] = [Path(config.run_dir, f"denoise/denoised_{seed}.json").read_bytes()
+                              for seed in config.seeds]
+        assert denoised[0.2] != denoised[0.6]
+        assert ran(outcomes) == ["pseudo-label", "denoise", "finetune-data-denoised", "evaluate"]
+
     def test_live_model_change_reruns_generate(self, workspace):
         def scripted(runner, seed, spec):
             mock = PipelineRunner(replace(runner.config, backend="mock"))
@@ -426,9 +439,8 @@ class TestResume:
 
     def test_unwritten_output_records_failed_manifest(self, workspace):
         class SkipsSeed5(PipelineRunner):
-            def _stage_finetune_data(self, seed):
-                if seed != 5:
-                    super()._stage_finetune_data(seed)
+            def _stage_finetune_data(self, seeds):
+                super()._stage_finetune_data([seed for seed in seeds if seed != 5])
 
         make_runner(workspace).run()
         runner = SkipsSeed5(load_config(workspace))
@@ -527,6 +539,31 @@ class TestFinalPredictor:
         for (seed, split_name), doc_id in garbled.items():
             path = runner.run_dir / "eval" / f"predictions_{split_name}_{seed}.json"
             assert json.loads(path.read_text())[doc_id] == []
+
+
+class TestFilePredictor:
+    """The ``file`` final predictor scores prediction files named by
+    ``{seed}`` templates; they are sources of evaluate."""
+
+    def test_written_predictions_score_as_the_run_that_wrote_them(self, workspace, tmp_path):
+        runner = make_runner(workspace)
+        runner.run()
+        copies = tmp_path / "preds"
+        copies.mkdir()
+        for rel in runner.read_manifest("evaluate").outputs:
+            if rel.startswith("eval/predictions_"):
+                (copies / Path(rel).name).write_bytes(runner.path(rel).read_bytes())
+        report = {name: runner.path(name).read_bytes() for name in ("report.json", "report.txt")}
+        workspace.write_text(json.dumps(dict(
+            PIPELINE_CONFIG, final_predictor="file",
+            predictions_dev=str(copies / "predictions_dev_{seed}.json"),
+            predictions_test=str(copies / "predictions_test_{seed}.json"))), encoding="utf-8")
+        assert ran(outcome_map(make_runner(workspace).run())) == ["evaluate"]
+        assert {name: runner.path(name).read_bytes() for name in report} == report
+        edited = copies / "predictions_test_5.json"
+        rows = json.loads(edited.read_text(encoding="utf-8"))
+        edited.write_text(json.dumps(dict(list(rows.items())[1:])), encoding="utf-8")
+        assert ran(outcome_map(make_runner(workspace).run())) == ["evaluate"]
 
 
 class TestLocking:
@@ -742,14 +779,14 @@ class TestCorpusHandoff:
                 taken.append((stage, seed, key, corpus))
                 return corpus
 
-            def _views(self, seed, spec_of, keys, checked=()):
-                views = super()._views(seed, spec_of, keys, checked)
+            def _views(self, specs, keys, checked=()):
+                views = super()._views(specs, keys, checked)
                 if keys == ("train",):  # finetune-data's, built from the train source
                     source = load_docred(self.config.train_docs, self.registry)
-                    spec = spec_of(seed)
-                    view = apply_split(source, source, source, spec, self.config.mixed_policy)
-                    assert views == [view.train]
-                    taken.append(("finetune-data", seed, "train", views[0]))
+                    for spec in specs:
+                        view = apply_split(source, source, source, spec, self.config.mixed_policy)
+                        assert views[spec.seed] == [view.train]
+                        taken.append(("finetune-data", spec.seed, "train", views[spec.seed][0]))
                 return views
 
         Checking(load_config(workspace)).run()
@@ -879,10 +916,10 @@ class TestStreamedSplit:
         train_views = {}
 
         class Keeping(PipelineRunner):
-            def _views(self, seed, spec_of, keys, checked=()):
-                views = super()._views(seed, spec_of, keys, checked)
+            def _views(self, specs, keys, checked=()):
+                views = super()._views(specs, keys, checked)
                 if keys == ("train",):
-                    train_views[seed] = views[0]
+                    train_views.update({seed: view for seed, [view] in views.items()})
                 return views
 
         runner = Keeping(load_config(workspace))
@@ -1305,13 +1342,32 @@ class TestCli:
         assert "error:" in result.stderr
 
     @pytest.mark.parametrize("section", [{"mock": {"final_drop_prob": 1.0}},
-                                         {"live": {"timeout": "x"}}])
+                                         {"live": {"timeout": "x"}},
+                                         {"final_predictor": "file",
+                                          "predictions_dev": "preds.json"}])
     def test_bad_section_value_exits_1_before_any_stage(self, workspace, section):
         workspace.write_text(json.dumps(dict(PIPELINE_CONFIG, **section)), encoding="utf-8")
         result = CliRunner().invoke(main, ["--config", str(workspace), "run-all"])
         assert result.exit_code == 1
         assert "error:" in result.stderr
         assert not (workspace.parent / "run").exists()
+
+    @pytest.mark.parametrize("content, fragment", [
+        ({"d": 5}, "bad prediction row for 'd': 5"),
+        ({"d": [{"head": "a"}]}, "bad prediction row for 'd'"),
+        ([1], "predictions file must be a JSON object"),
+        ({"d": [{"head": "a", "tail": "b", "relation": "R999"}]}, "unknown relation 'R999'"),
+    ], ids=["rows-not-a-list", "row-without-keys", "not-an-object", "unknown-relation"])
+    def test_malformed_predictions_file_exits_1(self, workspace, content, fragment):
+        preds = workspace.parent / "preds.json"
+        preds.write_text(json.dumps(content), encoding="utf-8")
+        workspace.write_text(json.dumps(dict(PIPELINE_CONFIG, final_predictor="file",
+                                             predictions_dev=str(preds),
+                                             predictions_test=str(preds))), encoding="utf-8")
+        result = CliRunner().invoke(main, ["--config", str(workspace), "run-all"])
+        assert result.exit_code == 1, result.output
+        assert f"error: {preds}: {fragment}" in result.stderr
+        assert load_json(workspace.parent / "run" / "manifests" / "evaluate.json")["status"] == "failed"
 
     def test_run_all_prints_report(self, workspace):
         result = CliRunner().invoke(main, ["--config", str(workspace), "run-all"])

@@ -148,6 +148,7 @@ class TestWorldDocuments:
                             related_pool=ids[4:], n_related=3)
         corpus = world_documents(world, docs_per_relation=6, facts_per_doc=facts_per_doc,
                                  seed=seed)
+        validate_corpus(corpus)
         assert sum(len(doc.labels) for doc in corpus.documents) > len(corpus.documents)
         for doc in corpus.documents:
             rel, k = doc.doc_id.rsplit("-", 1)
@@ -244,6 +245,7 @@ class TestCorruptLabels:
 
     def test_noise_is_keyed_by_document_not_order(self, clean, small_world):
         noisy = corrupt_labels(clean, small_world.unseen, 0.3, 0.3, seed=9)
+        validate_corpus(noisy)
         reversed_corpus = type(clean)(
             documents=list(reversed(clean.documents)),
             provenance=clean.provenance, registry=clean.registry)
