@@ -14,9 +14,10 @@ string is built; the bytes are those of :func:`canonical_dumps` with
 encoded without a per-object key sort.  The layout of the generation records
 (a text table the transcripts refer to) belongs to :mod:`docrte.generate`
 (``records_chunks`` and ``load_records``).  DocRED sources are read one
-document at a time too (:func:`iter_docred`): each row of the array becomes a
-checked document before the next is parsed, so a reader holds the file's text
-and what it keeps of the documents.  The JSON loaders take an optional ``digest``:
+row at a time too (:func:`iter_docred`): each row of the array is checked
+before the next is parsed, and becomes a document unless the caller's ``keep``
+turns down its relations, so a reader holds the file's text and what it keeps
+of the documents.  The JSON loaders take an optional ``digest``:
 the bytes they parse must have that sha256, which lets a caller tie what it
 parsed to a digest it recorded earlier.
 """
@@ -28,7 +29,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Container, Iterable, Iterator
 
 from .model import (
     Corpus,
@@ -38,6 +39,9 @@ from .model import (
     RelationRegistry,
     RelationType,
     TripletLabel,
+    ValidationError,
+    normalize_entity_key,
+    validate_document,
     validated,
 )
 
@@ -419,21 +423,75 @@ def _docred_document(path: Path | str, index: int, row: Any,
     return Document(doc_id=title, title=title, sentences=sents, entities=entities, labels=labels)
 
 
-def iter_docred(path: Path | str, registry: RelationRegistry,
-                digest: str | None = None) -> Iterator[Document]:
+def _row_relations(row: Any, known: Container[str]) -> set[str] | None:
+    """The relation ids of a DocRED row's labels if :func:`_docred_document` and
+    :func:`validate_document` would both pass the row, with ``known`` the
+    registry's ids, else None; no document is built.  A repeated title is the
+    caller's to find."""
+    try:
+        title, sents = row["title"], row.get("sents") or []
+        if type(title) is not str or not title or type(sents) is not list:
+            return None
+        for sent in sents:
+            if type(sent) is not list or not sent or " ".join(sent).split() != sent:
+                return None
+        n_sents, clusters = len(sents), row.get("vertexSet") or []
+        for cluster in clusters:
+            for m in cluster:
+                start, end = m["pos"]
+                sent_id = m["sent_id"]
+                if not (type(m["name"]) is type(m.get("type", "")) is str
+                        and type(sent_id) is type(start) is type(end) is int
+                        and 0 <= sent_id < n_sents and 0 <= start < end <= len(sents[sent_id])):
+                    return None
+            normalize_entity_key(cluster[0]["name"])  # an empty cluster fails here too
+        relations = set()
+        for lb in row.get("labels") or []:
+            rel, head, tail = lb.get("r"), lb["h"], lb["t"]
+            if not (rel in known and type(head) is type(tail) is int and head != tail
+                    and 0 <= head < len(clusters) and 0 <= tail < len(clusters)):
+                return None
+            for ev in lb.get("evidence") or []:
+                if type(ev) is not int or not 0 <= ev < n_sents:
+                    return None
+            relations.add(rel)
+        return relations
+    except (LookupError, TypeError, AttributeError, ValueError):
+        return None
+
+
+def iter_docred(path: Path | str, registry: RelationRegistry, digest: str | None = None,
+                keep: Callable[[set[str]], bool] | None = None) -> Iterator[Document]:
     """Each row of a DocRED-format JSON array as a document, checked before the
     next row is parsed: no tree of the whole file is built, and the first bad
     row in file order is the one reported, as :class:`ParseError` (naming the
     file and the document) if malformed, as :class:`ValidationError` if invalid
     or a repeated title.  ``digest`` is checked as in :func:`load_json`.
 
+    Each row is checked on its parsed JSON first, and a row that check passes
+    is built without :func:`validate_document`; only a row it turns down is
+    built and validated, which raises the error.  With ``keep``, only the documents
+    whose set of label relations ``keep`` accepts are built and yielded, but
+    every row is checked.
+
     Rows have ``title`` (the unique document id), ``sents`` (token lists),
     ``vertexSet`` (mention clusters, ``pos`` = [start, end)) and ``labels``
     (``h``/``t`` vertex indices, ``r`` relation id, ``evidence``); tokens, names,
     types and relation ids are interned, as a corpus repeats a small vocabulary.
     """
-    rows = enumerate(_read_json(path, digest, _array_items))
-    return validated((_docred_document(path, i, row, registry) for i, row in rows), registry)
+    titles: set[str] = set()
+    known = frozenset(registry.ids())
+    for i, row in enumerate(_read_json(path, digest, _array_items)):
+        relations, doc = _row_relations(row, known), None
+        if relations is None or row["title"] in titles:  # the full path finds what is wrong
+            doc = _docred_document(path, i, row, registry)
+            if doc.doc_id in titles:
+                raise ValidationError(f"duplicate doc_id {doc.doc_id!r}")
+            validate_document(doc, registry)
+            relations = {lb.relation for lb in doc.labels}
+        titles.add(row["title"])
+        if keep is None or keep(relations):
+            yield doc or _docred_document(path, i, row, registry)
 
 
 def load_docred(path: Path | str, registry: RelationRegistry,

@@ -117,7 +117,8 @@ from .pseudo import (
     write_finetune_file,
 )
 from .simulate import chat_script, mock_generation_corpus, mock_world, world_truth
-from .split import SplitError, SplitSpec, sample_unseen, save_split_spec, view_document, warn_if_empty
+from .split import (SplitError, SplitSpec, kept_relations, sample_unseen, save_split_spec,
+                    view_document, warn_if_empty)
 
 logger = logging.getLogger(__name__)
 
@@ -703,18 +704,25 @@ class PipelineRunner:
                checked: Sequence[str] = ()) -> dict[int, list[Corpus]]:
         """The views ``keys`` (of the sources in config fields ``<key>_docs``)
         of each of ``specs``, by seed, reading each source file once: each
-        document goes into every view as it is read.  The sources of
-        ``checked`` are read and checked too, for no view."""
+        row is checked as it is read, and a document is built for it only if
+        some view keeps it.  The sources of ``checked`` are read and checked
+        too, for no view."""
         run, cfg, registry = self._run, self.config, self.registry
         paths = {key: Path(getattr(cfg, f"{key}_docs")) for key in (*checked, *keys)}
         views: dict[tuple[int, str], list[Document]] = {
             (spec.seed, key): [] for spec in specs for key in keys}
         for path in dict.fromkeys(paths.values()):
             source = next(key for key in paths if paths[key] == path)
-            named = [key for key in keys if paths[key] == path]
-            for doc in iter_docred(path, registry, run.inputs[f"config:{source}_docs"]):
-                for key, spec in product(named, specs):
-                    view = view_document(doc, spec, cfg.mixed_policy if key == "train" else None)
+            named = [(key, spec, cfg.mixed_policy if key == "train" else None)
+                     for key, spec in product(keys, specs) if paths[key] == path]
+
+            def keep(relations: set[str]) -> bool:
+                return any(kept_relations(relations, spec, policy) is not None
+                           for _, spec, policy in named)
+
+            for doc in iter_docred(path, registry, run.inputs[f"config:{source}_docs"], keep):
+                for key, spec, policy in named:
+                    view = view_document(doc, spec, policy)
                     if view is not None:
                         views[spec.seed, key].append(view)
         return {spec.seed: [Corpus(views[spec.seed, key], "human", registry) for key in keys]
@@ -797,6 +805,10 @@ class PipelineRunner:
                         )
                     rows.append((head, tail, rel.id))
                 resolved[doc_id] = rows
+            stray = sorted(set(resolved) - set(gold.by_id()))
+            if stray:  # scoring would raise this too, but not name the file
+                raise EvaluationError(f"{path}: predictions reference unknown document "
+                                      f"id(s): {stray[:5]}")
             return resolved
         predictor = self.final_predictor_factory(self, seed, spec, gold, split_name)
         predictions = predict_corpus(predictor, gold, sorted(spec.unseen),

@@ -4,8 +4,10 @@ A split hides ``m`` relation types from training entirely.  Training keeps
 only documents whose labels all use seen relations (by default mixed-label
 documents are dropped, not stripped), and evaluation keeps documents with at
 least one unseen-relation label, with gold restricted to unseen relations.
-:func:`view_document` is one document's form in a view; :func:`apply_split` and
-the pipeline's split stage (over each source as it is read) map it over documents.
+:func:`kept_relations` is the rule, on the set of relations a document's labels
+use; :func:`view_document` is one document's form in a view; :func:`apply_split`
+and the pipeline's split stage (over each source as it is read) map it over
+documents, and the stage skips the rows that no view keeps.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import logging
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import AbstractSet, Any
 
 from .docio import load_json, write_json_atomic
 from .model import Corpus, Document, RelationRegistry
@@ -96,19 +98,31 @@ class SplitBundle:
         warn_if_empty(self.spec, eval_dev=self.eval_dev, eval_test=self.eval_test)
 
 
-def view_document(doc: Document, spec: SplitSpec, mixed_policy: str | None) -> Document | None:
-    """``doc`` as a view of ``spec`` holds it, or None when the view leaves it
-    out: its training form under ``mixed_policy`` (see :func:`apply_split`),
-    or with None its evaluation form, kept when it has an unseen label."""
-    relations = {lb.relation for lb in doc.labels}
+def kept_relations(relations: AbstractSet[str], spec: SplitSpec,
+                   mixed_policy: str | None) -> frozenset[str] | None:
+    """The relations whose labels a view of ``spec`` keeps in a document whose
+    labels use ``relations``, or None when the view leaves the document out:
+    the training view under ``mixed_policy`` (see :func:`apply_split`), or
+    with None the evaluation view, which keeps a document with an unseen label."""
     if mixed_policy is not None and relations <= spec.seen:
-        return doc
+        return spec.seen
     # "drop" excludes a mixed document, which would leak unseen facts; a
     # stripped one with no seen label left contributes nothing to training
     keep = spec.unseen if mixed_policy is None else spec.seen
     if mixed_policy == "drop" or relations.isdisjoint(keep):
         return None
-    return replace(doc, labels=[lb for lb in doc.labels if lb.relation in keep])
+    return keep
+
+
+def view_document(doc: Document, spec: SplitSpec, mixed_policy: str | None) -> Document | None:
+    """``doc`` as a view of ``spec`` holds it, or None when the view leaves it
+    out; :func:`kept_relations` says which."""
+    relations = {lb.relation for lb in doc.labels}
+    keep = kept_relations(relations, spec, mixed_policy)
+    if keep is None:
+        return None
+    return doc if relations <= keep else replace(
+        doc, labels=[lb for lb in doc.labels if lb.relation in keep])
 
 
 def _view(corpus: Corpus, spec: SplitSpec, mixed_policy: str | None) -> Corpus:

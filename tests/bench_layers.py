@@ -60,6 +60,8 @@ from docrte.simulate import (
     write_demo_inputs,
 )
 
+from conftest import write_world_sources
+
 UNSEEN = 10
 # size -> (world facts per relation, documents per unseen relation)
 SIZES = {"small": (20, 20), "large": (80, 80)}
@@ -117,14 +119,9 @@ def split_config(request, tmp_path_factory):
     documents per relation of a size, over every relation."""
     work = tmp_path_factory.mktemp("split")
     write_demo_inputs(work, n_relations=3 * UNSEEN)
-    registry = synthetic_registry(3 * UNSEEN)
-    ids = registry.ids()
-    for world_seed, name in enumerate(("train", "dev", "test")):
-        world = build_world(registry, ids, seed=world_seed, facts_per_relation=3,
-                            related_pool=ids, n_related=2)
-        corpus = world_documents(world, SIZES[request.param][1] // 4, facts_per_doc=3,
-                                 seed=world_seed, id_prefix=f"{name}-")
-        save_docred(Corpus(corpus.documents, "human", registry), work / f"{name}.json")
+    write_world_sources(work, synthetic_registry(3 * UNSEEN),
+                        {name: (SIZES[request.param][1] // 4, world_seed)
+                         for world_seed, name in enumerate(("train", "dev", "test"))})
     data = json.loads(strip_json_comments((work / "config.json").read_text(encoding="utf-8")))
     data.update(m=UNSEEN, seeds=[1, 2, 3])
     return request.param, config_from_dict(data, base_dir=work)
@@ -186,10 +183,13 @@ def test_pseudo_label_stage(benchmark, pseudo_config):
 @pytest.fixture(scope="module", params=list(SIZES))
 def finished_config(request, tmp_path_factory):
     """A one-seed mock run with every stage done, over the world facts and
-    documents per unseen relation of a size."""
+    documents per unseen relation of a size, and dev and test sources of that
+    size, which evaluate scores."""
     facts_per_relation, docs_per_relation = SIZES[request.param]
     work = tmp_path_factory.mktemp("finished")
     write_demo_inputs(work, n_relations=3 * UNSEEN)
+    write_world_sources(work, synthetic_registry(3 * UNSEEN),
+                        {"dev": (docs_per_relation // 4, 1), "test": (docs_per_relation // 4, 2)})
     data = json.loads(strip_json_comments((work / "config.json").read_text(encoding="utf-8")))
     data.update(m=UNSEEN, seeds=[1], docs_per_relation=docs_per_relation,
                 mock={"facts_per_relation": facts_per_relation})

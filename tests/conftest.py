@@ -8,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 import docrte
+from docrte.docio import save_docred
 from docrte.model import (
     Corpus,
     Document,
@@ -18,7 +19,7 @@ from docrte.model import (
     TripletLabel,
     normalize_entity_key,
 )
-from docrte.simulate import synthetic_registry
+from docrte.simulate import build_world, synthetic_registry, world_documents
 
 
 # Characters JSON escapes or that a naive encoder gets wrong: quotes,
@@ -33,6 +34,20 @@ def child_env(**overrides) -> dict[str, str]:
     package_root = str(Path(docrte.__file__).resolve().parents[1])
     return dict(os.environ, **overrides, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
+def write_world_sources(work: Path, registry: RelationRegistry,
+                        sources: dict[str, tuple[int, int]]) -> None:
+    """DocRED sources ``work/<name>.json`` over every relation of ``registry``,
+    drawn as the benchmark draws its inputs: ``sources`` maps each name to its
+    documents per relation and the seed of its mock world."""
+    ids = registry.ids()
+    for name, (per_relation, world_seed) in sources.items():
+        world = build_world(registry, ids, seed=world_seed, facts_per_relation=3,
+                            related_pool=ids, n_related=2)
+        corpus = world_documents(world, per_relation, facts_per_doc=3, seed=world_seed,
+                                 id_prefix=f"{name}-")
+        save_docred(Corpus(corpus.documents, "human", registry), work / f"{name}.json")
 
 
 def make_registry(*pairs: tuple[str, str]) -> RelationRegistry:

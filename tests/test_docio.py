@@ -21,6 +21,8 @@ from docrte.docio import (
     ChangedFileError,
     CorpusFormatError,
     ParseError,
+    _docred_document,
+    _row_relations,
     canonical_dumps,
     compact_array_chunks,
     corpus_chunks,
@@ -49,6 +51,8 @@ from docrte.model import (
     EntityMention,
     TripletLabel,
     ValidationError,
+    validate_document,
+    validated,
 )
 from docrte.pseudo import (
     FinetunePolicy,
@@ -491,6 +495,179 @@ class TestFirstBadRowReported:
         assert next(read).doc_id == "doc-1"
         with pytest.raises(ValidationError, match="doc-2"):
             next(read)
+
+
+RELATIONS = [f"R{i}" for i in range(1, 7)]
+REGISTRY = make_registry(*((rel, f"relation {rel}") for rel in RELATIONS))
+# values a mutation puts in place of a part of a row: some keep the row good
+# (a span, sentence, index or relation still in range), most do not; each
+# draw is a fresh copy, so no two parts of a row share an object
+ROW_PARTS = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 7), st.floats(0, 2),
+    st.sampled_from(["", " ", "a b", "Ada", "\xa0", "0", "doc-0", "R9", *RELATIONS]),
+    st.lists(st.integers(-1, 7), max_size=3), st.just([["Ada"]]), st.just({}),
+    st.just({"name": "Ada", "sent_id": 0, "pos": [0, 1]})).map(lambda v: json.loads(json.dumps(v)))
+
+
+def _parts(value):
+    """Every (container, key) pair inside the JSON value ``value``."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    return [pair for key, child in items for pair in [(value, key), *_parts(child)]]
+
+
+# One field each at or just past a bound that a DocRED row is checked against;
+# the full path accepts the last four.
+EDGE_EDITS = {
+    "head equals tail": lambda row: row["labels"][0].update(h=0, t=0),
+    "negative head": lambda row: row["labels"][0].update(h=-1),
+    "tail past the entities": lambda row: row["labels"][1].update(t=3),
+    "negative sent_id": lambda row: row["vertexSet"][2][0].update(sent_id=-1),
+    "sent_id past the sentences": lambda row: row["vertexSet"][2][0].update(sent_id=2),
+    "span past the sentence": lambda row: row["vertexSet"][2][0].update(pos=[5, 7]),
+    "empty span": lambda row: row["vertexSet"][2][0].update(pos=[4, 4]),
+    "negative start": lambda row: row["vertexSet"][0][0].update(pos=[-1, 2]),
+    "float pos": lambda row: row["vertexSet"][0][0].update(pos=[0.0, 2]),
+    "negative evidence": lambda row: row["labels"][0].update(evidence=[-1]),
+    "evidence past the sentences": lambda row: row["labels"][1].update(evidence=[0, 2]),
+    "bool evidence": lambda row: row["labels"][1].update(evidence=[True]),
+    "empty sentence": lambda row: row["sents"].append([]),
+    "empty token": lambda row: row["sents"][1].append(""),
+    "token with a space": lambda row: row["sents"][1].append("a b"),
+    "empty title": lambda row: row.update(title=""),
+    "unknown relation": lambda row: row["labels"][1].update(r="R9"),
+    "label without r": lambda row: row["labels"][1].pop("r"),
+    "empty cluster": lambda row: row["vertexSet"].append([]),
+    "null type": lambda row: row["vertexSet"][2][0].update(type=None),
+    "span to the end of a sentence": lambda row: row["vertexSet"][2][0].update(pos=[4, 6]),
+    "blank name of a later mention": lambda row: row["vertexSet"][1][1].update(name=" "),
+    "no type and no evidence": lambda row: (row["vertexSet"][0][0].pop("type"),
+                                            row["labels"][0].pop("evidence")),
+    "null sentences, entities and labels": lambda row: row.update(
+        sents=None, vertexSet=None, labels=None),
+}
+
+
+# a replacement of the same type as the part it replaces, which often leaves the row good
+ALIKE = {int: st.integers(-1, 7), str: st.sampled_from(["Ada", "", " ", "a b", "R1", "R3", "R9"])}
+
+
+@st.composite
+def suspect_rows(draw, title="doc-1"):
+    """``_docred_record()`` under a title, maybe with one of the edits above
+    (``MALFORMED_ROWS``, ``_invalid_row``, ``EDGE_EDITS``),
+    then up to two random replacements, deletions or appends; now and then
+    a row that is not an object."""
+    row = dict(_docred_record(), title=title)
+    edit = draw(st.none() | st.sampled_from([_invalid_row, *MALFORMED_ROWS.values(),
+                                             *EDGE_EDITS.values()]))
+    if edit is _invalid_row:
+        row = _invalid_row(title)
+    elif edit is not None:
+        edit(row)
+    for _ in range(draw(st.integers(0, 2))):
+        container, key = draw(st.sampled_from(_parts(row)))
+        part = container[key]
+        action = draw(st.sampled_from(["alike", "alike", "replace", "delete", "append"]))
+        if action == "delete":
+            del container[key]
+        elif action == "append" and isinstance(part, list):
+            part.append(draw(ROW_PARTS))
+        elif action == "alike" and type(part) in ALIKE:
+            container[key] = draw(ALIKE[type(part)])
+        else:
+            container[key] = draw(ROW_PARTS)
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([["doc-2"], "doc-2", 7, None]))
+    return row
+
+
+def _full_path(row):
+    """The relation set of ``row`` as ``_docred_document`` and
+    ``validate_document`` read it, or None if either rejects the row."""
+    try:
+        doc = _docred_document("source.json", 0, row, REGISTRY)
+        validate_document(doc, REGISTRY)
+    except (ParseError, ValidationError):
+        return None
+    return {lb.relation for lb in doc.labels}
+
+
+def _read(documents):
+    """The documents read before ``documents`` stops, and what it raises, if anything."""
+    docs = []
+    try:
+        docs.extend(documents)
+    except (ParseError, ValidationError) as exc:
+        return docs, (type(exc), str(exc))
+    return docs, None
+
+
+class TestRowCheck:
+    """``iter_docred`` checks each row on its parsed JSON and builds a document
+    only for a row the check turns down or ``keep`` takes; what it yields and
+    raises is what building and validating every row gives, filtered."""
+
+    @given(suspect_rows())
+    @settings(max_examples=1000, deadline=None)
+    def test_quick_check_agrees_with_the_full_path(self, row):
+        # a row the quick check accepts is a good row; one it turns down is a
+        # bad one, so the full path it then takes raises
+        assert _row_relations(row, REGISTRY) == _full_path(row)
+
+    @pytest.mark.parametrize("edit", [*EDGE_EDITS.values(), *MALFORMED_ROWS.values()],
+                             ids=[*EDGE_EDITS, *MALFORMED_ROWS])
+    def test_quick_check_agrees_at_each_bound(self, edit):
+        row = _docred_record()
+        edit(row)
+        assert _row_relations(row, REGISTRY) == _full_path(row)
+
+    def test_quick_check_reads_the_relations(self):
+        assert _row_relations(_docred_record(), REGISTRY) == {"R2", "R6"}
+        assert _row_relations(dict(_docred_record(), labels=[]), REGISTRY) == set()
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_kept_documents_and_errors_are_the_full_reads(self, data):
+        # row i takes the title of row j <= i, so that some titles repeat
+        rows = [data.draw(suspect_rows(f"doc-{data.draw(st.integers(0, i))}"))
+                for i in range(data.draw(st.integers(0, 4)))]
+        wanted = data.draw(st.sets(st.sampled_from(RELATIONS)))
+        keep = data.draw(st.sampled_from([
+            lambda relations: relations <= wanted,
+            lambda relations: not relations.isdisjoint(wanted),
+            lambda relations: False,
+        ]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "source.json"
+            path.write_text(json.dumps(rows), encoding="utf-8")
+            # each row built, then validated, with no check of the JSON first
+            full, error = _read(validated(_docred_document(path, i, row, REGISTRY)
+                                          for i, row in enumerate(json.loads(json.dumps(rows)))))
+            assert _read(iter_docred(path, REGISTRY)) == (full, error)
+            kept, kept_error = _read(iter_docred(path, REGISTRY, keep=keep))
+        assert kept_error == error
+        assert kept == [doc for doc in full if keep({lb.relation for lb in doc.labels})]
+
+    def test_rows_no_view_keeps_are_not_built(self, tmp_path, monkeypatch):
+        rows = [dict(_docred_record(), title=f"doc-{i}") for i in range(4)]
+        rows[2]["labels"] = [{"h": 0, "t": 2, "r": "R1", "evidence": []}]
+        path = _write_rows(tmp_path, rows)
+        built = []
+
+        def counting(*args, **fields):
+            doc = Document(*args, **fields)
+            built.append(doc.doc_id)
+            return doc
+
+        monkeypatch.setattr("docrte.docio.Document", counting)
+        kept = list(iter_docred(path, REGISTRY, keep=lambda relations: "R1" in relations))
+        assert [doc.doc_id for doc in kept] == built == ["doc-2"]
+
+    def test_repeated_title_of_a_row_no_view_keeps(self, tmp_path):
+        path = _write_rows(tmp_path, [_docred_record(), _docred_record()])
+        with pytest.raises(ValidationError, match="duplicate doc_id 'doc-1'"):
+            list(iter_docred(path, REGISTRY, keep=lambda relations: False))
 
 
 SPACE = st.text(alphabet=" \t\n\r", max_size=3)

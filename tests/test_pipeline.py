@@ -984,6 +984,34 @@ class TestStreamedSplit:
         assert not list(run_dir.glob("split/*"))
         assert load_json(run_dir / "manifests" / "split.json")["status"] == "failed"
 
+    @pytest.mark.parametrize("source, mixed_policy",
+                             [("dev", "drop"), ("train", "drop"), ("train", "strip")])
+    @pytest.mark.parametrize("fault", ["evidence out of range", "mention without name"])
+    def test_bad_row_that_no_view_keeps_still_fails_split(self, workspace, source,
+                                                           mixed_policy, fault):
+        """Split builds no document for a row that no view keeps, but it still
+        checks the row and reports it as it reports any other bad row."""
+        workspace.write_text(json.dumps(dict(PIPELINE_CONFIG, mixed_policy=mixed_policy)),
+                             encoding="utf-8")
+        registry = load_registry(workspace.parent / "registry.json")
+        unseen = set().union(*(sample_unseen(registry, PIPELINE_CONFIG["m"], seed).unseen
+                               for seed in PIPELINE_CONFIG["seeds"]))
+        path = workspace.parent / f"{source}.json"
+        rows = json.loads(path.read_text(encoding="utf-8"))
+        index = next(i for i, row in enumerate(rows)
+                     if row["labels"] and unseen.isdisjoint(lb["r"] for lb in row["labels"]))
+        if fault == "evidence out of range":
+            rows[index]["labels"][0]["evidence"] = [len(rows[index]["sents"])]
+            expected = f"error: {rows[index]['title']}: evidence sentence "
+        else:
+            del rows[index]["vertexSet"][0][0]["name"]
+            expected = f"error: {path}: document {index} "
+        path.write_text(json.dumps(rows), encoding="utf-8")
+        result = CliRunner().invoke(main, ["--config", str(workspace), "split"])
+        assert result.exit_code == 1, result.output
+        assert expected in result.stderr
+        assert not list((workspace.parent / "run").glob("split/*"))
+
     def test_split_holds_no_source_corpus(self, workspace):
         """Dev and test documents with an unseen label are few, so split's
         traced peak is about one source file's bytes and text plus the train
@@ -1357,7 +1385,9 @@ class TestCli:
         ({"d": [{"head": "a"}]}, "bad prediction row for 'd'"),
         ([1], "predictions file must be a JSON object"),
         ({"d": [{"head": "a", "tail": "b", "relation": "R999"}]}, "unknown relation 'R999'"),
-    ], ids=["rows-not-a-list", "row-without-keys", "not-an-object", "unknown-relation"])
+        ({"no-such-doc": []}, "predictions reference unknown document id(s): ['no-such-doc']"),
+    ], ids=["rows-not-a-list", "row-without-keys", "not-an-object", "unknown-relation",
+            "unknown-document"])
     def test_malformed_predictions_file_exits_1(self, workspace, content, fragment):
         preds = workspace.parent / "preds.json"
         preds.write_text(json.dumps(content), encoding="utf-8")
