@@ -15,6 +15,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -39,6 +40,8 @@ class ChatTurn:
     def __post_init__(self) -> None:
         if self.role not in ROLES:
             raise TranscriptError(f"unknown role {self.role!r}")
+        if not isinstance(self.text, str):
+            raise TranscriptError(f"turn text must be a string, got {type(self.text).__name__}")
 
 
 class ChatTranscript:
@@ -47,7 +50,16 @@ class ChatTranscript:
     Optional system turns lead; afterwards roles strictly alternate
     user/assistant.  Assistant turns are only ever appended once accepted,
     and accepted assistant text is never empty.
+
+    The first :func:`request_hash` of a transcript starts a running sha256 of
+    its canonical message-list prefix; each later hash extends it over the
+    turns appended since, so hashing every step of a chain costs O(its length)
+    rather than O(length squared).  A transcript that is never hashed holds no
+    such state.
     """
+
+    # (sha256 over the prefix, number of turns in it); set by the first hash
+    _prefix: tuple[Any, int] | None = None
 
     def __init__(self, turns: Sequence[ChatTurn] = ()):
         self._turns: list[ChatTurn] = []
@@ -88,6 +100,20 @@ class ChatTranscript:
     def messages(self) -> list[dict[str, str]]:
         return [{"role": t.role, "text": t.text} for t in self._turns]
 
+    def _prefix_sha256(self) -> Any:
+        """A sha256 fed ``{"messages": [`` and then each turn's canonical JSON,
+        ``{"role": ..., "text": ...}``, joined by ``", "``."""
+        running, count = self._prefix or (hashlib.sha256(b'{"messages": ['), 0)
+        new = self._turns[count:]
+        if new:
+            # encode before touching the state: a lone surrogate raises here
+            data = ", ".join(f'{{"role": "{t.role}", "text": {encode_basestring(t.text)}}}'
+                             for t in new).encode("utf-8")
+            running = running.copy()
+            running.update(b", " + data if count else data)
+            self._prefix = (running, count + len(new))
+        return running.copy()
+
 
 @dataclass(frozen=True)
 class RequestMeta:
@@ -109,13 +135,20 @@ class RequestEnvelope:
 
 
 def request_hash(transcript: ChatTranscript, temperature: float) -> str:
-    """Content hash of a request: canonical JSON over messages + temperature."""
-    payload = json.dumps(
-        {"messages": transcript.messages(), "temperature": temperature},
-        ensure_ascii=False,
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """Content hash of a request, the key of a cassette entry.
+
+    The hex sha256 of the UTF-8 bytes of ``json.dumps({"messages":
+    transcript.messages(), "temperature": temperature}, ensure_ascii=False,
+    sort_keys=True)``.  Cassettes on disk depend on these bytes, so they must
+    not change.  The message-list prefix is hashed incrementally on the
+    transcript (see :class:`ChatTranscript`); only the temperature suffix is
+    encoded per call.  A turn text that UTF-8 cannot encode (a lone surrogate)
+    raises :class:`UnicodeEncodeError` here.
+    """
+    digest = transcript._prefix_sha256()
+    suffix = json.dumps(temperature, ensure_ascii=False, sort_keys=True)
+    digest.update(f'], "temperature": {suffix}}}'.encode("utf-8"))
+    return digest.hexdigest()
 
 
 class ChatBackend:
@@ -240,8 +273,11 @@ class CassetteBackend(ChatBackend):
                 queue = self._replay.get(h)
                 if queue:
                     return queue.popleft()
+            step = "" if meta is None else (
+                f" (relation={meta.relation!r} doc_index={meta.doc_index} "
+                f"step={meta.step} attempt={meta.attempt})")
             raise BackendError(
-                f"cassette {self.path} has no unconsumed entry for request hash {h}"
+                f"cassette {self.path} has no unconsumed entry for request hash {h}{step}"
             )
         text = self.inner.send(transcript, temperature, meta)
         line = json.dumps({"request_hash": h, "response_text": text}, ensure_ascii=False,

@@ -127,12 +127,13 @@ class GenerationRecord:
     def ok(self) -> bool:
         return self.document is not None
 
-    def to_json(self) -> dict[str, Any]:
+    def to_json(self, transcript: list[dict[str, Any]] | None = None) -> dict[str, Any]:
+        """The record as JSON; ``transcript`` stands in for its message list."""
         return {
             "unseen_relation": self.unseen_relation,
             "doc_id": self.doc_id,
             "related": list(self.related),
-            "transcript": self.transcript.messages(),
+            "transcript": self.transcript.messages() if transcript is None else transcript,
             "accepted_turn_indices": list(self.accepted_turn_indices),
             "document": self.document.doc_id if self.document else None,
             "grounding": self.grounding.to_json(),
@@ -154,10 +155,8 @@ def records_chunks(records: Iterable[GenerationRecord]) -> Iterator[str]:
     ids: dict[str, int] = {}
 
     def row(record: GenerationRecord) -> dict[str, Any]:
-        out = record.to_json()
-        out["transcript"] = [{"role": t.role, "text_id": ids.setdefault(t.text, len(ids))}
-                             for t in record.transcript.turns]
-        return out
+        return record.to_json([{"role": t.role, "text_id": ids.setdefault(t.text, len(ids))}
+                               for t in record.transcript.turns])
 
     # the keys in sorted order: "records" < "texts" < "version"
     yield '{"records":'

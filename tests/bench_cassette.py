@@ -1,4 +1,5 @@
-"""Micro benchmarks for the cassette journal: recording and replaying 2,000 calls.
+"""Micro benchmarks for the cassette journal: recording and replaying 2,000
+calls, and keying the calls of chain-shaped conversations.
 
 Not collected by the default test run (its file name does not match
 ``test_*.py``).  Run it on its own::
@@ -9,9 +10,12 @@ from __future__ import annotations
 
 import pytest
 
-from docrte.backends import CassetteBackend, ChatTranscript
+from docrte.backends import CassetteBackend, ChatTranscript, request_hash
 
 CALLS = 2000
+CHAINS = 300
+STEPS = 7
+CATALOG = ", ".join(f"Relation name {i} (P{100 + i})" for i in range(120))
 
 
 class Answer:
@@ -57,3 +61,24 @@ def test_replay_2000_calls(benchmark, tmp_path, transcripts):
     path = tmp_path / "cassette.jsonl"
     record(path, transcripts)
     benchmark(replay, path, transcripts)
+
+
+def hash_chains():
+    """Key every step of ``CHAINS`` seven-step chains, as a cassette does.
+
+    The transcripts are built here, inside the timed function: a transcript
+    keeps its running digest, so hashing a prebuilt one again would cost less.
+    """
+    for c in range(CHAINS):
+        t = ChatTranscript()
+        t.add_system("You generate documents about relations.")
+        for step in range(1, STEPS + 1):
+            prompt = f"Step {step} of chain {c}."
+            t.add_user(prompt + (" Choose related relations from: " + CATALOG
+                                 if step == 1 else ""))
+            request_hash(t, 0.0)
+            t.add_assistant(Answer.text)
+
+
+def test_hash_300_chains_of_7_steps(benchmark):
+    benchmark(hash_chains)

@@ -1,10 +1,13 @@
 """Chat transports: transcripts, hashing, scripted/cassette/live backends."""
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docrte.backends import (
     BackendError,
@@ -19,6 +22,8 @@ from docrte.backends import (
     TranscriptError,
     request_hash,
 )
+
+from conftest import TRICKY
 
 
 def transcript(*texts: str) -> ChatTranscript:
@@ -67,6 +72,17 @@ class TestTranscript:
         ]
 
 
+def reference_hash(t: ChatTranscript, temperature) -> str:
+    """The request digest as a cassette stores it: canonical JSON, whole."""
+    payload = json.dumps({"messages": t.messages(), "temperature": temperature},
+                         ensure_ascii=False, sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+TEMPERATURES = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False),
+                         st.integers(-3, 3))
+
+
 class TestRequestHash:
     def test_stable_for_equal_content(self):
         assert request_hash(transcript("s", "q"), 0.0) == request_hash(transcript("s", "q"), 0.0)
@@ -75,6 +91,75 @@ class TestRequestHash:
         base = request_hash(transcript("s", "q"), 0.0)
         assert request_hash(transcript("s", "q"), 1.0) != base
         assert request_hash(transcript("s", "q!"), 0.0) != base
+
+    @pytest.mark.parametrize("build, temperature, digest", [
+        (lambda: transcript("s", "q"), 0.0,
+         "dd0cc3c7703d21f7353a69cfc226a662ffe83c0459ff84fe94a4f9616bf75a3b"),
+        (lambda: transcript("s", "q"), 1,
+         "7c4be44a6b745f7d912f77b512015a5b9e4a09784497a38a2bfae85774b13988"),
+        (ChatTranscript, 0.7,
+         "a83f8bac6d33200469eb1c0dd22b3a48b8884aadb0621677ee51b6aa683ab660"),
+        (lambda: transcript("sys é", 'q "x"\\ \n\t\x00\u2028', "a \U0001F600", "q2"), 0.25,
+         "bdf958985b120eaa12efffadbb77295fae92a198874c3d50dd543620785142d2"),
+        (lambda: ChatTranscript([ChatTurn("system", "s1"), ChatTurn("system", "s2"),
+                                 ChatTurn("user", "Zoë «»\x1f\x7f\u2029")]), 1.0,
+         "0dfa3f413ba43494df1d45363ca6c4105bcdd64167f68309c712f94d6017d2ad"),
+    ])
+    def test_digests_pinned(self, build, temperature, digest):
+        """Cassettes on disk are keyed by these digests: they must never change."""
+        assert request_hash(build(), temperature) == digest
+
+    @settings(max_examples=300, deadline=None)
+    @given(systems=st.lists(TRICKY, min_size=0, max_size=2),
+           turns=st.lists(st.tuples(TRICKY.filter(str.strip), st.booleans()), max_size=8),
+           temperatures=st.lists(TEMPERATURES, min_size=1, max_size=4),
+           hash_after_systems=st.booleans())
+    def test_incremental_digest_equals_whole_transcript_digest(
+            self, systems, turns, temperatures, hash_after_systems):
+        """Hashing at random points while a transcript grows gives the digest of
+        the whole canonical JSON, and that of a fresh transcript of the same turns."""
+        t = ChatTranscript()
+        for text in systems:
+            t.add_system(text)
+        checks = 0
+
+        def check(k: int) -> None:
+            nonlocal checks
+            temperature = temperatures[k % len(temperatures)]
+            digest = request_hash(t, temperature)
+            assert digest == reference_hash(t, temperature)
+            assert digest == request_hash(ChatTranscript(t.turns), temperature)
+            assert request_hash(t, temperature) == digest  # hashing again changes nothing
+            checks += 1
+
+        if hash_after_systems:
+            check(0)
+        for k, (text, hash_now) in enumerate(turns):
+            if k % 2 == 0:
+                t.add_user(text)
+            else:
+                t.add_assistant(text)
+            if hash_now:
+                check(k)
+        check(len(turns))
+        assert checks >= 1
+
+    def test_lone_surrogate_raises_in_request_hash_not_at_append(self):
+        t = transcript("s", "q", "a")
+        request_hash(t, 0.0)  # the running digest now covers three turns
+        t.add_user("bad \ud800 text")
+        with pytest.raises(UnicodeEncodeError):
+            request_hash(t, 0.0)
+        with pytest.raises(UnicodeEncodeError):  # the failed call left no partial state
+            request_hash(t, 0.0)
+        fresh = ChatTranscript()
+        fresh.add_user("\udfff")
+        with pytest.raises(UnicodeEncodeError):
+            request_hash(fresh, 0.0)
+
+    def test_turn_text_must_be_a_string(self):
+        with pytest.raises(TranscriptError, match="must be a string"):
+            ChatTurn("user", 7)
 
 
 class TestScriptedBackend:
@@ -236,6 +321,19 @@ class TestCassetteBackend:
         assert [replayer.send(t, 0.0) for t in requests[:k]] == [f"café q{i}" for i in range(k)]
         with pytest.raises(BackendError, match="no unconsumed entry"):
             replayer.send(requests[k], 0.0)
+
+    def test_replay_miss_names_the_chain_step(self, tmp_path):
+        cassette = tmp_path / "c.json"
+        cassette.write_text("")
+        backend = CassetteBackend(cassette, mode="replay")
+        t = transcript("s", "q")
+        with pytest.raises(BackendError) as miss:
+            backend.send(t, 0.0, RequestMeta("P17", step=3, attempt=1, doc_index=4))
+        message = str(miss.value)
+        assert request_hash(t, 0.0) in message
+        assert "relation='P17' doc_index=4 step=3 attempt=1" in message
+        with pytest.raises(BackendError, match=r"request hash [0-9a-f]{64}$"):
+            backend.send(t, 0.0)  # without meta only the hash is named
 
 
 @dataclass
