@@ -40,8 +40,6 @@ class ChatTurn:
     def __post_init__(self) -> None:
         if self.role not in ROLES:
             raise TranscriptError(f"unknown role {self.role!r}")
-        if not isinstance(self.text, str):
-            raise TranscriptError(f"turn text must be a string, got {type(self.text).__name__}")
 
 
 class ChatTranscript:
@@ -51,14 +49,11 @@ class ChatTranscript:
     user/assistant.  Assistant turns are only ever appended once accepted,
     and accepted assistant text is never empty.
 
-    The first :func:`request_hash` of a transcript starts a running sha256 of
-    its canonical message-list prefix; each later hash extends it over the
-    turns appended since, so hashing every step of a chain costs O(its length)
-    rather than O(length squared).  A transcript that is never hashed holds no
-    such state.
+    The first :func:`request_hash` starts a running sha256 of the canonical
+    message list; later ones extend it over the turns appended since.
     """
 
-    # (sha256 over the prefix, number of turns in it); set by the first hash
+    # (that sha256, the number of turns it covers); None until first hashed
     _prefix: tuple[Any, int] | None = None
 
     def __init__(self, turns: Sequence[ChatTurn] = ()):
@@ -106,7 +101,8 @@ class ChatTranscript:
         running, count = self._prefix or (hashlib.sha256(b'{"messages": ['), 0)
         new = self._turns[count:]
         if new:
-            # encode before touching the state: a lone surrogate raises here
+            # roles need no escaping; encode before touching the state, as a
+            # lone surrogate raises here
             data = ", ".join(f'{{"role": "{t.role}", "text": {encode_basestring(t.text)}}}'
                              for t in new).encode("utf-8")
             running = running.copy()
@@ -135,16 +131,10 @@ class RequestEnvelope:
 
 
 def request_hash(transcript: ChatTranscript, temperature: float) -> str:
-    """Content hash of a request, the key of a cassette entry.
-
-    The hex sha256 of the UTF-8 bytes of ``json.dumps({"messages":
-    transcript.messages(), "temperature": temperature}, ensure_ascii=False,
-    sort_keys=True)``.  Cassettes on disk depend on these bytes, so they must
-    not change.  The message-list prefix is hashed incrementally on the
-    transcript (see :class:`ChatTranscript`); only the temperature suffix is
-    encoded per call.  A turn text that UTF-8 cannot encode (a lone surrogate)
-    raises :class:`UnicodeEncodeError` here.
-    """
+    """The key of a cassette entry, which cassettes on disk depend on: the hex
+    sha256 of ``json.dumps({"messages": transcript.messages(), "temperature":
+    temperature}, ensure_ascii=False, sort_keys=True).encode()``, computed
+    over only the turns appended since the transcript was last hashed."""
     digest = transcript._prefix_sha256()
     suffix = json.dumps(temperature, ensure_ascii=False, sort_keys=True)
     digest.update(f'], "temperature": {suffix}}}'.encode("utf-8"))

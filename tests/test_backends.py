@@ -157,10 +157,6 @@ class TestRequestHash:
         with pytest.raises(UnicodeEncodeError):
             request_hash(fresh, 0.0)
 
-    def test_turn_text_must_be_a_string(self):
-        with pytest.raises(TranscriptError, match="must be a string"):
-            ChatTurn("user", 7)
-
 
 class TestScriptedBackend:
     def test_doc_specific_key_preferred(self):
