@@ -2,8 +2,8 @@
 
 All transports share one contract: ``send(transcript, temperature) -> text``.
 The orchestrator additionally passes a :class:`RequestMeta` describing which
-chain step it is on; live and cassette transports ignore it, the scripted
-mock uses it as its lookup key.
+chain step it is on; the live transport ignores it, the cassette names it
+when a replay finds no entry, and the scripted mock uses it as its lookup key.
 """
 from __future__ import annotations
 
@@ -263,11 +263,11 @@ class CassetteBackend(ChatBackend):
                 queue = self._replay.get(h)
                 if queue:
                     return queue.popleft()
-            step = "" if meta is None else (
+            where = "" if meta is None else (
                 f" (relation={meta.relation!r} doc_index={meta.doc_index} "
                 f"step={meta.step} attempt={meta.attempt})")
             raise BackendError(
-                f"cassette {self.path} has no unconsumed entry for request hash {h}{step}"
+                f"cassette {self.path} has no unconsumed entry for request hash {h}{where}"
             )
         text = self.inner.send(transcript, temperature, meta)
         line = json.dumps({"request_hash": h, "response_text": text}, ensure_ascii=False,
