@@ -305,15 +305,46 @@ class RateLimiter:
 RETRYABLE_STATUS = {408, 429, 500, 502, 503, 504}
 # statuses whose Retry-After header says how long to wait before retrying
 RETRY_AFTER_STATUS = {429, 503}
+BACKOFF_BASE = 0.5  # seconds before the first retry, doubling for each later one
+BACKOFF_CAP = 30.0  # seconds; no wait is longer
 
 
-def _retry_after(resp: Any) -> float | None:
-    """The delay a delta-seconds ``Retry-After`` header asks for, if any.
+def post_with_retry(session: Any, url: str, what: str, attempts: int,
+                    rate_limiter: RateLimiter | None = None, **request: Any) -> Any:
+    """``session.post(url, **request)`` until it answers 200, at most ``attempts`` times.
 
-    The HTTP-date form is not read; the caller backs off as usual then.
+    Connection errors and :data:`RETRYABLE_STATUS` (408, 429, 500, 502-504)
+    are retried with exponential backoff; a 429 or 503 whose ``Retry-After``
+    header gives a number of seconds waits that long instead.  Every wait is
+    capped at 30 s.  Other statuses fail at once, and so does a malformed URL
+    or header (``requests`` raises those as ``ValueError``).  Failures raise
+    :class:`BackendError`, whose message starts with ``what``.
     """
-    value = resp.headers.get("Retry-After", "").strip()
-    return float(value) if value.isascii() and value.isdigit() else None
+    last_error = "no attempt made"
+    for attempt in range(attempts):
+        asked: float | None = None
+        if rate_limiter is not None:
+            rate_limiter.acquire()
+        try:
+            resp = session.post(url, **request)
+        except ValueError as exc:  # before OSError: requests' MissingSchema is both
+            raise BackendError(f"{what}: cannot send to {url!r}: {exc}") from exc
+        except OSError as exc:
+            last_error = f"connection error: {exc}"
+        else:
+            if resp.status_code == 200:
+                return resp
+            last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
+            if resp.status_code not in RETRYABLE_STATUS:
+                raise BackendError(f"{what}: {last_error}")
+            if resp.status_code in RETRY_AFTER_STATUS:  # the HTTP-date form is not read
+                value = resp.headers.get("Retry-After", "").strip()
+                asked = float(value) if value.isascii() and value.isdigit() else None
+        if attempt + 1 < attempts:
+            delay = min(BACKOFF_CAP, BACKOFF_BASE * 2 ** attempt if asked is None else asked)
+            logger.warning("%s failed (%s); retrying in %.1fs", what, last_error, delay)
+            time.sleep(delay)
+    raise BackendError(f"{what} failed after {attempts} attempts: {last_error}")
 
 
 class LiveChatBackend(ChatBackend):
@@ -321,9 +352,9 @@ class LiveChatBackend(ChatBackend):
 
     The bearer token is read from the environment variable named by
     ``api_key_env`` at call time; secrets never land in config files or run
-    artifacts.  Retryable statuses (408 request timeout, 429 and 5xx) back off
-    exponentially; a 429 or 503 with a delta-seconds ``Retry-After`` header
-    waits that long instead.  Either wait is capped by ``backoff_cap``.
+    artifacts.  Calls go through :func:`post_with_retry` with ``max_attempts``
+    tries: connection errors and retryable statuses are retried, ``Retry-After``
+    is honoured, waits are capped at 30 s, and a malformed URL fails at once.
     """
 
     def __init__(
@@ -333,8 +364,6 @@ class LiveChatBackend(ChatBackend):
         api_key_env: str,
         timeout: float = 60.0,
         max_attempts: int = 5,
-        backoff_base: float = 0.5,
-        backoff_cap: float = 30.0,
         rate_limiter: RateLimiter | None = None,
         session: Any = None,
     ):
@@ -345,8 +374,6 @@ class LiveChatBackend(ChatBackend):
         self.api_key_env = api_key_env
         self.timeout = timeout
         self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.rate_limiter = rate_limiter
         self.session = session or requests.Session()
 
@@ -365,39 +392,18 @@ class LiveChatBackend(ChatBackend):
             raise BackendError(
                 f"environment variable {self.api_key_env} is not set (API key)"
             )
-        last_error = "no attempt made"
-        for attempt in range(self.max_attempts):
-            asked: float | None = None
-            if self.rate_limiter is not None:
-                self.rate_limiter.acquire()
-            try:
-                resp = self.session.post(
-                    self.base_url,
-                    json=self._payload(transcript, temperature),
-                    headers={"Authorization": f"Bearer {token}"},
-                    timeout=self.timeout,
-                )
-            except OSError as exc:
-                last_error = f"connection error: {exc}"
-            else:
-                if resp.status_code == 200:
-                    try:
-                        return resp.json()["choices"][0]["message"]["content"]
-                    except (KeyError, IndexError, TypeError, ValueError) as exc:
-                        raise BackendError(
-                            f"unexpected completion payload from {self.base_url}: {exc!r}"
-                        ) from exc
-                last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
-                if resp.status_code not in RETRYABLE_STATUS:
-                    raise BackendError(last_error)
-                if resp.status_code in RETRY_AFTER_STATUS:
-                    asked = _retry_after(resp)
-            if attempt + 1 < self.max_attempts:
-                backoff = self.backoff_base * (2 ** attempt) if asked is None else asked
-                delay = min(self.backoff_cap, backoff)
-                logger.warning("chat request failed (%s); retrying in %.1fs", last_error, delay)
-                time.sleep(delay)
-        raise BackendError(f"chat request failed after {self.max_attempts} attempts: {last_error}")
+        resp = post_with_retry(
+            self.session, self.base_url, "chat request", self.max_attempts, self.rate_limiter,
+            json=self._payload(transcript, temperature),
+            headers={"Authorization": f"Bearer {token}"},
+            timeout=self.timeout,
+        )
+        try:
+            return resp.json()["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise BackendError(
+                f"unexpected completion payload from {self.base_url}: {exc!r}"
+            ) from exc
 
 
 @dataclass

@@ -236,13 +236,8 @@ def config_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Pipe
     if base_dir is not None:
         for name in _PATH_FIELDS:
             value = getattr(config, name)
-            if value and "{seed}" not in str(value):
-                resolved = (base_dir / value).resolve() if not Path(value).is_absolute() else Path(value)
-                setattr(config, name, str(resolved))
-            elif value:
-                # templated paths resolve their directory part lazily per seed
-                if not Path(value).is_absolute():
-                    setattr(config, name, str(base_dir / value))
+            if value and not Path(value).is_absolute():
+                setattr(config, name, str((base_dir / value).resolve()))
     try:
         config.validate()
     except TypeError as exc:  # a value of the wrong JSON type met a check

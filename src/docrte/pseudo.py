@@ -14,11 +14,11 @@ import logging
 import random
 import subprocess
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
+from .backends import BackendError, post_with_retry
 from .docio import write_chunks_atomic
 from .generate import parse_triplet_lines
 from .model import (
@@ -309,40 +309,29 @@ class ProcessPredictor(PredictorBackend):
 
 
 class HttpPredictor(PredictorBackend):
-    """POST the request JSON; the plain-text response body is the block."""
+    """POST the request JSON; the plain-text body of the 200 response is the block.
 
-    def __init__(self, url: str, timeout: float = 60.0, max_attempts: int = 3,
-                 backoff_base: float = 0.5, session: Any = None):
+    Each document gets 3 tries of 60 s through :func:`post_with_retry`:
+    connection errors and retryable statuses are retried, ``Retry-After`` is
+    honoured, waits are capped at 30 s, and a malformed URL fails at once.  A
+    failure raises :class:`PredictorError` naming the URL and the last status.
+    """
+
+    def __init__(self, url: str, session: Any = None):
         import requests
 
         self.url = url
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
         self.session = session or requests.Session()
 
     def predict(self, instruction, document_text, relation_names):
-        last = "no attempt"
-        for attempt in range(self.max_attempts):
-            try:
-                resp = self.session.post(
-                    self.url,
-                    json=_request_payload(instruction, document_text, relation_names),
-                    timeout=self.timeout,
-                )
-            except OSError as exc:
-                last = f"connection error: {exc}"
-            else:
-                if resp.status_code == 200:
-                    return resp.text
-                last = f"HTTP {resp.status_code}"
-                if resp.status_code < 500:
-                    raise PredictorError(f"predictor at {self.url}: {last}")
-            if attempt + 1 < self.max_attempts:
-                time.sleep(self.backoff_base * (2 ** attempt))
-        raise PredictorError(
-            f"predictor at {self.url} failed after {self.max_attempts} attempts: {last}"
-        )
+        try:
+            return post_with_retry(
+                self.session, self.url, f"predictor at {self.url}", 3,
+                json=_request_payload(instruction, document_text, relation_names),
+                timeout=60.0,
+            ).text
+        except BackendError as exc:
+            raise PredictorError(str(exc)) from exc
 
     def close(self) -> None:
         self.session.close()

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import docrte
+
+from conftest import child_env
 
 PUBLIC_API = [
     "BackendError",
@@ -38,3 +43,14 @@ def test_top_level_exports_exactly_the_public_api():
     assert sorted(docrte.__all__) == PUBLIC_API
     for name in PUBLIC_API:
         assert getattr(docrte, name) is not None, name
+
+
+def test_bench_tracer_binds_every_name_it_wraps():
+    """``bench/tracing.install`` looks docrte's functions and methods up by
+    name; one renamed or deleted breaks every traced benchmark run."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    result = subprocess.run(
+        [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
+        cwd=bench, env=child_env(PYTHONDONTWRITEBYTECODE="1"), capture_output=True,
+        text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass, field
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from docrte.backends import (
     TranscriptError,
     request_hash,
 )
+from docrte.pseudo import HttpPredictor, PredictorError
 
 from conftest import TRICKY
 
@@ -347,15 +349,28 @@ class FakeSession:
     requests: list[dict] = field(default_factory=list)
 
     def post(self, url, json=None, headers=None, timeout=None):
+        """The next response; an exception in its place is raised instead."""
         self.requests.append(
             {"url": url, "json": json, "headers": headers, "timeout": timeout})
-        return self.responses.pop(0)
+        response = self.responses.pop(0)
+        if isinstance(response, Exception):
+            raise response
+        return response
 
 
 def completion(text: str) -> FakeResponse:
     return FakeResponse(200, {"choices": [{"message": {"content": text}}]})
 
 
+@pytest.fixture
+def slept(monkeypatch):
+    """The backoff waits asked for, none of them slept."""
+    waits = []
+    monkeypatch.setattr("docrte.backends.time.sleep", waits.append)
+    return waits
+
+
+@pytest.mark.usefixtures("slept")
 class TestLiveChatBackend:
     def make(self, responses, **kwargs):
         session = FakeSession(list(responses))
@@ -364,7 +379,6 @@ class TestLiveChatBackend:
             model="test-model",
             api_key_env="TEST_CHAT_KEY",
             session=session,
-            backoff_base=0.0,
             **kwargs,
         )
         return backend, session
@@ -414,10 +428,8 @@ class TestLiveChatBackend:
             backend.send(transcript("s", "q"), 0.0)
         assert len(session.requests) == 3
 
-    def test_retry_after_seconds_is_honoured_up_to_the_cap(self, monkeypatch):
+    def test_retry_after_seconds_is_honoured_up_to_the_cap(self, monkeypatch, slept):
         monkeypatch.setenv("TEST_CHAT_KEY", "sk-123")
-        slept = []
-        monkeypatch.setattr("docrte.backends.time.sleep", slept.append)
         backend, session = self.make([
             FakeResponse(429, text="slow down", headers={"Retry-After": "7"}),
             FakeResponse(503, text="down", headers={"Retry-After": "120"}),
@@ -425,16 +437,91 @@ class TestLiveChatBackend:
             FakeResponse(503, text="down", headers={"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}),
             FakeResponse(500, text="oops", headers={"Retry-After": "9"}),
             completion("ok"),
-        ], backoff_cap=30.0)
+        ])
         assert backend.send(transcript("s", "q"), 0.0) == "ok"
         assert len(session.requests) == 5
-        assert slept == [7.0, 30.0, 0.0, 0.0]  # backoff_base is 0
+        assert slept == [7.0, 30.0, 2.0, 4.0]  # backoff for retries 3 and 4
 
     def test_malformed_completion_payload_raises(self, monkeypatch):
         monkeypatch.setenv("TEST_CHAT_KEY", "sk-123")
         backend, _ = self.make([FakeResponse(200, {"choices": []})])
         with pytest.raises(BackendError, match="unexpected completion payload"):
             backend.send(transcript("s", "q"), 0.0)
+
+
+def chat_transport(session):
+    backend = LiveChatBackend("https://chat.example/v1/completions", "test-model",
+                              "TEST_CHAT_KEY", max_attempts=4, session=session)
+    return lambda: backend.send(transcript("s", "q"), 0.0)
+
+
+def predictor_transport(session):
+    predictor = HttpPredictor("http://model.local/extract", session=session)
+    return lambda: predictor.predict("inst", "doc", ["employer"])
+
+
+# (transport over a session, its 200 answering "ok", the error it raises, its tries)
+TRANSPORTS = [
+    pytest.param(chat_transport, completion("ok"), BackendError, 4, id="chat"),
+    pytest.param(predictor_transport, FakeResponse(200, text="ok"), PredictorError, 3,
+                 id="predictor"),
+]
+# (what the session answers before the 200, the waits that causes)
+RETRIED = [
+    pytest.param([FakeResponse(408)], [0.5], id="408"),
+    pytest.param([FakeResponse(429)], [0.5], id="429"),
+    pytest.param([FakeResponse(500), FakeResponse(502)], [0.5, 1.0], id="500-502"),
+    pytest.param([FakeResponse(503), FakeResponse(504)], [0.5, 1.0], id="503-504"),
+    pytest.param([ConnectionRefusedError("refused"), requests.ConnectionError("reset")],
+                 [0.5, 1.0], id="connection-error"),
+    pytest.param([FakeResponse(429, headers={"Retry-After": "7"}),
+                  FakeResponse(503, headers={"Retry-After": "120"})], [7.0, 30.0],
+                 id="retry-after-capped"),
+]
+# (the first answer, which ends the call, what the error names)
+FAIL_FAST = [
+    pytest.param(FakeResponse(400, text="bad request"), "HTTP 400: bad request", id="400"),
+    pytest.param(FakeResponse(401), "HTTP 401", id="401"),
+    pytest.param(FakeResponse(404), "HTTP 404", id="404"),
+    pytest.param(requests.exceptions.MissingSchema("No scheme supplied"),
+                 "cannot send to .*No scheme supplied", id="missing-schema"),
+    pytest.param(requests.exceptions.InvalidURL("bad host"), "bad host", id="invalid-url"),
+    pytest.param(requests.exceptions.InvalidSchema("no adapter"), "no adapter",
+                 id="invalid-schema"),
+    pytest.param(requests.exceptions.InvalidHeader("bad header"), "bad header",
+                 id="invalid-header"),
+]
+
+
+@pytest.mark.parametrize("transport, ok, error, tries", TRANSPORTS)
+class TestRetryRule:
+    """The rule both HTTP transports share, through ``post_with_retry``."""
+
+    @pytest.fixture(autouse=True)
+    def _api_key(self, monkeypatch):
+        monkeypatch.setenv("TEST_CHAT_KEY", "sk-123")
+
+    @pytest.mark.parametrize("failures, waits", RETRIED)
+    def test_retried(self, transport, ok, error, tries, failures, waits, slept):
+        session = FakeSession(failures + [ok])
+        assert transport(session)() == "ok"
+        assert len(session.requests) == len(failures) + 1
+        assert slept == waits
+
+    @pytest.mark.parametrize("failure, message", FAIL_FAST)
+    def test_fails_after_one_try(self, transport, ok, error, tries, failure, message, slept):
+        session = FakeSession([failure, ok])
+        with pytest.raises(error, match=message):
+            transport(session)()
+        assert len(session.requests) == 1
+        assert slept == []
+
+    def test_gives_up_after_n_tries_and_names_n(self, transport, ok, error, tries, slept):
+        session = FakeSession([FakeResponse(503, text="down")] * tries + [ok])
+        with pytest.raises(error, match=f"failed after {tries} attempts: HTTP 503: down"):
+            transport(session)()
+        assert len(session.requests) == tries
+        assert slept == [0.5, 1.0, 2.0, 4.0][:tries - 1]
 
 
 class TestRateLimiter:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -39,7 +40,7 @@ from docrte.pipeline import (
     PipelineRunner,
     StageError,
 )
-from docrte.pseudo import OraclePredictor, PredictorError
+from docrte.pseudo import HttpPredictor, OraclePredictor, PredictorError
 from docrte.simulate import (
     build_world,
     chat_script,
@@ -670,6 +671,46 @@ class TestCollectorPolicy:
             assert gc.get_threshold() == before
         finally:
             gc.set_threshold(*before)
+
+
+class ThrottlingSession:
+    """A predictor server that answers each document 429 once, then with the
+    block the mock oracle gives it."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.throttled = set()
+
+    def post(self, url, json=None, timeout=None):
+        if json["document"] not in self.throttled:
+            self.throttled.add(json["document"])
+            return SimpleNamespace(status_code=429, text="slow down", headers={})
+        block = self.oracle.predict(json["instruction"], json["document"], json["relations"])
+        return SimpleNamespace(status_code=200, text=block)
+
+    def close(self):
+        pass
+
+
+class TestHttpPredictor:
+    def test_pseudo_label_rides_out_a_429_per_document(self, workspace, tmp_path, monkeypatch):
+        slept, sessions = [], []
+        monkeypatch.setattr("docrte.backends.time.sleep", slept.append)
+
+        def throttled(runner, seed, spec):
+            sessions.append(ThrottlingSession(runner.default_pseudo_predictor(seed, spec)))
+            return HttpPredictor("http://extractor.local/predict", session=sessions[-1])
+
+        runner = make_runner(workspace, predictor_factory=throttled)
+        runner.run(["split", "generate"])
+        assert runner.run_stage("pseudo-label").status == "ran"
+        for seed in PIPELINE_CONFIG["seeds"]:
+            assert load_json(runner.path(f"pseudo/pseudo_{seed}.json"))["unlabeled_docs"] == []
+        throttled = sum(len(session.throttled) for session in sessions)
+        assert throttled and slept == [0.5] * throttled
+        reference = PipelineRunner(load_config(workspace, run_dir=str(tmp_path / "reference")))
+        reference.run(["split", "generate", "pseudo-label"])
+        assert pseudo_bytes(runner.run_dir) == pseudo_bytes(reference.run_dir)
 
 
 class TestMockBackend:

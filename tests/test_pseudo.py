@@ -278,15 +278,16 @@ class TestHttpPredictor:
         assert session.posts[0]["json"] == {
             "instruction": "inst", "document": "doc text", "relations": ["employer"]}
 
-    def test_retries_5xx_then_succeeds(self):
+    def test_retries_5xx_then_succeeds(self, monkeypatch):
+        monkeypatch.setattr("docrte.backends.time.sleep", lambda seconds: None)
         session = FakeSession([FakeResponse(502), FakeResponse(200, "ok")])
-        predictor = HttpPredictor("http://m/x", session=session, backoff_base=0.0)
+        predictor = HttpPredictor("http://m/x", session=session)
         assert predictor.predict("i", "d", ["r"]) == "ok"
         assert len(session.posts) == 2
 
     def test_4xx_fails_immediately(self):
         session = FakeSession([FakeResponse(404)])
-        predictor = HttpPredictor("http://m/x", session=session, backoff_base=0.0)
+        predictor = HttpPredictor("http://m/x", session=session)
         with pytest.raises(PredictorError, match="404"):
             predictor.predict("i", "d", ["r"])
         assert len(session.posts) == 1
